@@ -1,7 +1,13 @@
 //! Seeded random AIG generation — netlist-shaped stimulus for the cone
 //! pipeline's tests, the scaling scenarios, and the CI experiment fixtures.
 
+use lr_bv::Rng;
+
 use crate::{Aig, AndGate, Latch, Lit, Output};
+
+/// This crate's seed transform: every stream it draws is `Rng::new(seed ^
+/// STREAM_SALT)`, which keeps the committed fixtures' streams unchanged.
+pub(crate) const STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Shape of a generated netlist.
 #[derive(Debug, Clone, Copy)]
@@ -22,33 +28,6 @@ impl Default for GenConfig {
     }
 }
 
-/// The same xorshift64* generator the serve-side scenarios use, kept private so
-/// this crate stays dependency-free.
-pub(crate) struct Rng(u64);
-
-impl Rng {
-    pub(crate) fn new(seed: u64) -> Rng {
-        // Avoid the all-zero fixed point.
-        Rng(seed ^ 0x9E37_79B9_7F4A_7C15)
-    }
-
-    pub(crate) fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform value in `0..n` (Lemire-style, n > 0).
-    pub(crate) fn below(&mut self, n: u64) -> u64 {
-        ((u128::from(self.next()) * u128::from(n)) >> 64) as u64
-    }
-
-    pub(crate) fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
-}
-
 /// Generates a random, valid AIG. The same `(seed, config)` pair always yields
 /// the same netlist.
 ///
@@ -58,7 +37,7 @@ impl Rng {
 pub fn random_aig(seed: u64, config: &GenConfig) -> Aig {
     let inputs = config.inputs.max(1);
     let outputs = config.outputs.max(1);
-    let mut rng = Rng::new(seed);
+    let mut rng = Rng::new(seed ^ STREAM_SALT);
     let first_and = 1 + inputs + config.latches;
 
     let mut ands = Vec::with_capacity(config.ands as usize);
@@ -104,6 +83,8 @@ pub fn random_aig(seed: u64, config: &GenConfig) -> Aig {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -119,10 +100,23 @@ mod tests {
     }
 
     #[test]
+    fn the_salt_seed_is_not_degenerate() {
+        // `STREAM_SALT ^ STREAM_SALT` is xorshift's absorbing state 0; the
+        // shared generator remaps it, so this seed yields a live netlist rather
+        // than one whose every operand draw is zero.
+        let config = GenConfig::default();
+        let aig = random_aig(STREAM_SALT, &config);
+        assert_ne!(aig, random_aig(STREAM_SALT ^ 1, &config));
+        let operands: BTreeSet<u32> =
+            aig.ands().iter().flat_map(|g| [g.rhs0.var(), g.rhs1.var()]).collect();
+        assert!(operands.len() > 8, "operands collapsed onto {operands:?}");
+    }
+
+    #[test]
     fn generated_netlists_simulate_and_round_trip() {
         for seed in 0..8 {
             let aig = random_aig(seed, &GenConfig::default());
-            let mut rng = Rng::new(seed ^ 0xDEAD);
+            let mut rng = Rng::new(seed ^ 0xDEAD ^ STREAM_SALT);
             let stimulus: Vec<Vec<bool>> =
                 (0..4).map(|_| (0..aig.num_inputs()).map(|_| rng.bool()).collect()).collect();
             let sim = aig.simulate(&stimulus);

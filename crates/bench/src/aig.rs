@@ -15,9 +15,9 @@
 //! Both runs stitch the per-cone implementations back together and verify the
 //! result against the source AIG on seeded random stimulus. The gates are
 //! zero-tolerance: any verification mismatch, any warm cone missing the cache,
-//! or any cone wider than the LUT fails the run — and `check_aig` in
-//! [`crate::gate`] additionally pins the cone/coverage counters to the
-//! committed baseline exactly, because the partitioner is deterministic.
+//! or any cone wider than the LUT fails the run — and the record's `exact`
+//! section additionally pins the cone/coverage counters to the committed
+//! baseline, because the partitioner is deterministic.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -25,12 +25,12 @@ use std::sync::Arc;
 use lakeroad::MapConfig;
 use lr_aig::Aig;
 use lr_arch::{ArchName, Architecture};
-use lr_serve::{map_netlist, NetlistOptions, NetlistReport, SynthCache};
+use lr_serve::{map_netlist, Json, NetlistOptions, NetlistReport, SynthCache};
 
+use crate::record::{fields, gate_result, Record};
 use crate::Scale;
 
-/// Where the machine-readable record is written (repo-relative; CI uploads
-/// this exact path as an artifact, next to the other `BENCH_*.json` records).
+/// Where the bench record is written (repo-relative).
 pub const REPORT_PATH: &str = "BENCH_aig.json";
 
 /// The committed fixtures, relative to the crate's `fixtures/aig/` directory.
@@ -162,56 +162,42 @@ impl AigReport {
         failures
     }
 
-    /// Renders the record as a JSON document (dependency-free, like the other
-    /// `BENCH_*.json` writers; the format is stable for CI consumption).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"total_ands\": {},\n", self.total_ands()));
-        out.push_str(&format!("  \"largest_fixture_ands\": {},\n", self.largest_fixture_ands()));
-        out.push_str(&format!("  \"total_cones\": {},\n", self.total_cones()));
-        out.push_str(&format!("  \"unique_cones\": {},\n", self.unique_cones()));
-        out.push_str(&format!("  \"total_mismatches\": {},\n", self.total_mismatches()));
-        out.push_str(&format!("  \"warm_all_hits\": {},\n", self.warm_all_hits()));
-        out.push_str(&format!("  \"gates_pass\": {},\n", self.gate_failures().is_empty()));
-        out.push_str("  \"fixtures\": [\n");
-        for (i, f) in self.fixtures.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ands\": {}, \"latches\": {}, \"outputs\": {}, \
-                 \"cones\": {}, \"covered_ands\": {}, \"max_leaves\": {}, \"unique_cones\": {}, \
-                 \"cold_cache_hits\": {}, \"warm_cache_hits\": {}, \"logic_elements\": {}, \
-                 \"registers\": {}, \"verify_environments\": {}, \"verify_cycles\": {}, \
-                 \"verify_mismatches\": {}, \"cold_wall_ms\": {:.3}, \"warm_wall_ms\": {:.3}}}{}\n",
-                f.name,
-                f.ands,
-                f.latches,
-                f.outputs,
-                f.cones,
-                f.covered_ands,
-                f.max_leaves,
-                f.unique_cones,
-                f.cold_cache_hits,
-                f.warm_cache_hits,
-                f.logic_elements,
-                f.registers,
-                f.verify_environments,
-                f.verify_cycles,
-                f.verify_mismatches,
-                f.cold_wall_ms,
-                f.warm_wall_ms,
-                if i + 1 < self.fixtures.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The bench record: stitch identity and warm hits are zero-tolerance
+    /// (`invariants`); the fixtures are committed and the partitioner is a pure
+    /// function of the AIG, so the cone and coverage counters — totals and
+    /// per-fixture sums — are `exact`. Wall clocks and cold cache hits
+    /// (timing-dependent under parallel workers) are recorded only.
+    pub fn record(&self) -> Record {
+        let sum = |field: fn(&FixtureRun) -> usize| self.fixtures.iter().map(field).sum::<usize>();
+        let rows: Vec<Json> = self
+            .fixtures
+            .iter()
+            .map(|f| {
+                fields! {
+                    name: f.name, ands: f.ands, latches: f.latches, outputs: f.outputs,
+                    cones: f.cones, covered_ands: f.covered_ands, max_leaves: f.max_leaves,
+                    unique_cones: f.unique_cones, cold_cache_hits: f.cold_cache_hits,
+                    warm_cache_hits: f.warm_cache_hits, logic_elements: f.logic_elements,
+                    registers: f.registers, verify_environments: f.verify_environments,
+                    verify_cycles: f.verify_cycles, verify_mismatches: f.verify_mismatches,
+                    cold_wall_ms: f.cold_wall_ms, warm_wall_ms: f.warm_wall_ms,
+                }
+            })
+            .collect();
+        Record::new(self.scale)
+            .invariant("gates_pass", self.gate_failures().is_empty())
+            .invariant("total_mismatches_is_zero", self.total_mismatches() == 0)
+            .invariant("warm_all_hits", self.warm_all_hits())
+            .exact("total_ands", self.total_ands())
+            .exact("largest_fixture_ands", self.largest_fixture_ands())
+            .exact("total_cones", self.total_cones())
+            .exact("unique_cones", self.unique_cones())
+            .exact("fixtures_covered_ands", sum(|f| f.covered_ands))
+            .exact("fixtures_max_leaves", sum(|f| f.max_leaves))
+            .exact("fixtures_logic_elements", sum(|f| f.logic_elements))
+            .exact("fixtures_registers", sum(|f| f.registers))
+            .recorded("total_mismatches", self.total_mismatches())
+            .recorded("fixtures", rows)
     }
 
     /// Prints a human-readable summary.
@@ -342,22 +328,13 @@ pub fn run_aig_experiment(scale: Scale, workers: usize) -> AigReport {
 }
 
 /// Prints the summary, writes [`REPORT_PATH`], and reports gate failures.
+///
+/// # Errors
+/// Returns the joined gate failures.
 pub fn report_and_write(report: &AigReport) -> Result<(), String> {
     report.print_summary();
-    match report.write_json(REPORT_PATH) {
-        Ok(()) => println!(
-            "wrote {REPORT_PATH} ({} fixtures, {} cones)",
-            report.fixtures.len(),
-            report.total_cones(),
-        ),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
-    let failures = report.gate_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    report.record().save(REPORT_PATH);
+    gate_result(report.gate_failures())
 }
 
 #[cfg(test)]
@@ -442,14 +419,15 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
-        let report = sample_report();
-        let json = report.to_json();
-        assert!(json.contains("\"gates_pass\": true"));
-        assert!(json.contains("\"total_mismatches\": 0"));
-        assert!(json.contains("\"warm_all_hits\": true"));
-        assert!(json.contains("\"name\": \"rand_large.aag\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        crate::gate::Json::parse(&json).expect("mini parser reads the record");
+        let doc = Json::parse(&sample_report().record().json().render_pretty()).unwrap();
+        assert_eq!(doc.get(&["invariants", "gates_pass"]), Some(&Json::Bool(true)));
+        assert_eq!(doc.get(&["invariants", "total_mismatches_is_zero"]), Some(&Json::Bool(true)));
+        assert_eq!(doc.get(&["invariants", "warm_all_hits"]), Some(&Json::Bool(true)));
+        // Per-fixture sums are computed by the writer: 7 + 1300 covered ANDs.
+        let covered = doc.get(&["exact", "fixtures_covered_ands"]).and_then(Json::as_f64);
+        assert_eq!(covered, Some(1307.0));
+        let fixtures = doc.get(&["recorded", "fixtures"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(fixtures[1].get(&["name"]).and_then(Json::as_str), Some("rand_large.aag"));
     }
 
     #[test]

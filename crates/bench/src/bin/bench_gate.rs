@@ -4,12 +4,15 @@
 //! bench_gate [<baseline-dir>] [<fresh-dir>]
 //! ```
 //!
-//! Compares the freshly emitted `BENCH_*.json` records in `<fresh-dir>` (default
-//! `.`) against the committed baselines in `<baseline-dir>` (default
-//! `ci-baselines`) on deterministic counters only — conflicts, propagations,
-//! fold counts, cache hit rates, verdict tallies; never wall clock — and exits
-//! non-zero on any regression. CI stashes the committed records into the
-//! baseline directory before rerunning the sweeps, then runs this binary.
+//! Compares every `BENCH_*.json` record in `<baseline-dir>` (default
+//! `ci-baselines`) against the freshly emitted one of the same name in
+//! `<fresh-dir>` (default `.`) and exits non-zero on any regression. Every
+//! record has one schema: a `scale` and five sections, and the section a field
+//! sits in the baseline is its rule — `exact` (must be equal), `at_most`
+//! (within a 10% tolerance), `at_least` (must not drop), `invariants` (must be
+//! true) and `recorded` (never compared; wall clocks live here). A gated field
+//! missing from the fresh record fails. CI stashes the committed records into
+//! the baseline directory before rerunning the sweeps, then runs this binary.
 
 use std::path::Path;
 use std::process::ExitCode;

@@ -9,27 +9,22 @@
 //! (no portfolio): the point is to measure the CEGIS loop itself, not thread
 //! scheduling noise.
 
-use std::time::Instant;
-
 use lakeroad::suite::Microbenchmark;
-use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::Architecture;
-use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
+use lr_serve::Json;
+use lr_synth::SynthesisConfig;
 
-use crate::Scale;
+use crate::record::{fields, Record};
+use crate::{synthesize_dsp, Scale};
 
-/// Where the machine-readable comparison record is written (repo-relative; CI
-/// uploads this exact path as an artifact).
+/// Where the bench record is written (repo-relative).
 pub const REPORT_PATH: &str = "BENCH_cegis.json";
 
 /// Prints the human-readable summary and writes [`REPORT_PATH`] — the shared tail
 /// of the `exp_all` and `exp_cegis` drivers.
 pub fn report_and_write(comparison: &CegisComparison) {
     comparison.print_summary();
-    match comparison.write_json(REPORT_PATH) {
-        Ok(()) => println!("wrote {REPORT_PATH} ({} runs)", comparison.runs.len()),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
+    comparison.record().save(REPORT_PATH);
 }
 
 /// One synthesis run's record (one benchmark in one mode).
@@ -81,44 +76,41 @@ impl CegisComparison {
         self.total_ms(false) / inc
     }
 
-    /// Renders the comparison as a JSON document (no external dependencies; the
-    /// format is stable for CI consumption).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"total_wall_ms_incremental\": {:.3},\n", self.total_ms(true)));
-        out.push_str(&format!("  \"total_wall_ms_from_scratch\": {:.3},\n", self.total_ms(false)));
-        out.push_str(&format!("  \"speedup\": {:.3},\n", self.speedup()));
-        out.push_str("  \"benchmarks\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"benchmark\": \"{}\", \"incremental\": {}, \
-                 \"verdict\": \"{}\", \"wall_ms\": {:.3}, \"iterations\": {}, \
-                 \"conflicts\": {}, \"constraints_encoded\": {}, \
-                 \"constraints_reencoded\": {}, \"learnt_clauses_reused\": {}}}{}\n",
-                r.arch,
-                r.benchmark,
-                r.incremental,
-                r.verdict,
-                r.wall_ms,
-                r.iterations,
-                r.conflicts,
-                r.constraints_encoded,
-                r.constraints_reencoded,
-                r.learnt_clauses_reused,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
+    /// The bench record: per-mode search work (`at_most`) and verdict tallies
+    /// (`exact`); wall clocks and per-run rows are recorded only.
+    pub fn record(&self) -> Record {
+        let mut record = Record::new(self.scale);
+        for (incremental, mode) in [(true, "incremental"), (false, "from_scratch")] {
+            let runs = || self.runs.iter().filter(move |r| r.incremental == incremental);
+            record = record
+                .at_most(&format!("{mode}_conflicts"), runs().map(|r| r.conflicts).sum::<u64>())
+                .at_most(
+                    &format!("{mode}_iterations"),
+                    runs().map(|r| r.iterations).sum::<usize>(),
+                );
+            for verdict in ["success", "unsat", "timeout"] {
+                let tally = runs().filter(|r| r.verdict == verdict).count();
+                record = record.exact(&format!("{mode}_{verdict}"), tally);
+            }
         }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+        let rows: Vec<Json> = self
+            .runs
+            .iter()
+            .map(|r| {
+                fields! {
+                    arch: r.arch, benchmark: r.benchmark, incremental: r.incremental,
+                    verdict: r.verdict, wall_ms: r.wall_ms, iterations: r.iterations,
+                    conflicts: r.conflicts, constraints_encoded: r.constraints_encoded,
+                    constraints_reencoded: r.constraints_reencoded,
+                    learnt_clauses_reused: r.learnt_clauses_reused,
+                }
+            })
+            .collect();
+        record
+            .recorded("total_wall_ms_incremental", self.total_ms(true))
+            .recorded("total_wall_ms_from_scratch", self.total_ms(false))
+            .recorded("speedup", self.speedup())
+            .recorded("benchmarks", rows)
     }
 
     /// Prints a human-readable summary table.
@@ -157,23 +149,12 @@ fn run_one(
     scale: Scale,
     incremental: bool,
 ) -> Option<CegisRun> {
-    let spec = bench.build();
-    let sketch = generate_sketch(Template::Dsp, arch, &spec).ok()?;
-    let t = pipeline_depth(&spec);
-    let task = SynthesisTask::over_window(&spec, &sketch, t, 2);
     let config = SynthesisConfig {
         timeout: Some(scale.timeout(arch.name())),
         incremental,
         ..SynthesisConfig::default()
     };
-    let start = Instant::now();
-    let outcome = synthesize(&task, &config).ok()?;
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (verdict, stats) = match &outcome {
-        SynthesisOutcome::Success(s) => ("success", &s.stats),
-        SynthesisOutcome::Unsat { stats } => ("unsat", stats),
-        SynthesisOutcome::Timeout { stats } => ("timeout", stats),
-    };
+    let (verdict, stats, wall_ms) = synthesize_dsp(arch, &bench.build(), &config)?;
     Some(CegisRun {
         arch: arch.name().to_string(),
         benchmark: bench.name.clone(),
@@ -254,14 +235,16 @@ mod tests {
                 },
             ],
         };
-        let json = comparison.to_json();
-        assert!(json.contains("\"speedup\": 2.000"));
-        assert!(json.contains("\"constraints_reencoded\": 4"));
-        assert!(json.contains("\"incremental\": true"));
-        assert!((comparison.total_ms(true) - 12.5).abs() < 1e-9);
-        assert!((comparison.total_ms(false) - 25.0).abs() < 1e-9);
-        // Exactly one trailing comma structure: valid JSON.
-        assert_eq!(json.matches("},").count(), 1);
+        let doc = Json::parse(&comparison.record().json().render_pretty()).unwrap();
+        let get = |path: &[&str]| doc.get(path).and_then(Json::as_f64);
+        assert_eq!(get(&["recorded", "speedup"]), Some(2.0));
+        assert_eq!(get(&["at_most", "incremental_conflicts"]), Some(34.0));
+        assert_eq!(get(&["at_most", "from_scratch_conflicts"]), Some(60.0));
+        assert_eq!(get(&["exact", "incremental_success"]), Some(1.0));
+        assert_eq!(get(&["exact", "from_scratch_timeout"]), Some(0.0));
+        let rows = doc.get(&["recorded", "benchmarks"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(rows.len(), 2, "one row per run, paired");
+        assert_eq!(rows[1].get(&["constraints_reencoded"]).and_then(Json::as_f64), Some(4.0));
     }
 
     #[test]

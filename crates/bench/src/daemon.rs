@@ -25,10 +25,10 @@ use lakeroad::MapConfig;
 use lr_arch::ArchName;
 use lr_serve::{Daemon, DaemonClient, DaemonConfig, DaemonSummary, Json};
 
+use crate::record::{gate_result, Record};
 use crate::Scale;
 
-/// Where the machine-readable record is written (repo-relative; CI uploads
-/// this exact path as an artifact, next to the other `BENCH_*.json` files).
+/// Where the bench record is written (repo-relative).
 pub const REPORT_PATH: &str = "BENCH_daemon.json";
 
 /// Cache totals as the daemon's `stats` request reports them.
@@ -171,39 +171,33 @@ impl DaemonReport {
         failures
     }
 
-    /// Renders the record as a JSON document (dependency-free, stable for CI).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"clients\": {},\n", self.clients));
-        out.push_str(&format!("  \"distinct_requests\": {},\n", self.distinct));
-        out.push_str(&format!("  \"accepted\": {},\n", self.accepted));
-        out.push_str(&format!("  \"completed\": {},\n", self.completed));
-        out.push_str(&format!("  \"rejected\": {},\n", self.rejected));
-        out.push_str(&format!("  \"lost\": {},\n", self.lost()));
-        out.push_str(&format!("  \"warm_served\": {},\n", self.warm.from_cache));
-        out.push_str(&format!("  \"warm_hits\": {},\n", self.warm_hits()));
-        out.push_str(&format!("  \"cold_misses\": {},\n", self.after_cold.misses));
-        out.push_str(&format!("  \"cold_stores\": {},\n", self.after_cold.stores));
-        out.push_str(&format!("  \"evictions\": {},\n", self.after_warm.evictions));
-        out.push_str(&format!("  \"cache_entries\": {},\n", self.cache_entries));
-        out.push_str(&format!("  \"cold_wall_ms\": {:.3},\n", self.cold.wall_ms));
-        out.push_str(&format!("  \"warm_wall_ms\": {:.3},\n", self.warm.wall_ms));
-        out.push_str(&format!("  \"warm_p50_ms\": {:.3},\n", self.warm.percentile_ms(0.50)));
-        out.push_str(&format!("  \"warm_p99_ms\": {:.3},\n", self.warm.percentile_ms(0.99)));
-        out.push_str(&format!("  \"verdicts_cold\": \"{}\",\n", self.cold.verdicts[0]));
-        out.push_str(&format!("  \"gates_pass\": {}\n", self.gate_failures().is_empty()));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The bench record: the request and warm-hit accounting depends only on
+    /// the scale's client/request shape, so it is `exact`; a graceful drain
+    /// loses nothing and the workload is sized inside the admission bound
+    /// (`invariants`). Latencies and wall clocks are recorded only.
+    pub fn record(&self) -> Record {
+        Record::new(self.scale)
+            .invariant("gates_pass", self.gate_failures().is_empty())
+            .invariant("lost_is_zero", self.lost() == 0)
+            .invariant("rejected_is_zero", self.rejected == 0)
+            .exact("accepted", self.accepted)
+            .exact("completed", self.completed)
+            .exact("warm_served", self.warm.from_cache)
+            .exact("warm_hits", self.warm_hits())
+            .exact("cold_misses", self.after_cold.misses)
+            .recorded("workers", self.workers)
+            .recorded("clients", self.clients)
+            .recorded("distinct_requests", self.distinct)
+            .recorded("rejected", self.rejected)
+            .recorded("lost", self.lost())
+            .recorded("cold_stores", self.after_cold.stores)
+            .recorded("evictions", self.after_warm.evictions)
+            .recorded("cache_entries", self.cache_entries)
+            .recorded("cold_wall_ms", self.cold.wall_ms)
+            .recorded("warm_wall_ms", self.warm.wall_ms)
+            .recorded("warm_p50_ms", self.warm.percentile_ms(0.50))
+            .recorded("warm_p99_ms", self.warm.percentile_ms(0.99))
+            .recorded("verdicts_cold", self.cold.verdicts[0].as_str())
     }
 
     /// Prints a human-readable summary.
@@ -241,7 +235,8 @@ impl DaemonReport {
     }
 }
 
-fn request_payload(bench: &str, id: u64) -> String {
+/// A `map` request for suite bench `bench` on the Intel DSP template.
+pub(crate) fn request_payload(bench: &str, id: u64) -> String {
     format!(
         "{{\"kind\":\"map\",\"id\":{id},\"arch\":\"intel\",\"template\":\"dsp\",\
          \"bench\":\"{bench}\"}}"
@@ -365,22 +360,13 @@ pub fn run_daemon_experiment(scale: Scale) -> DaemonReport {
 }
 
 /// Prints the summary, writes [`REPORT_PATH`], and reports gate failures.
+///
+/// # Errors
+/// Returns the joined gate failures.
 pub fn report_and_write(report: &DaemonReport) -> Result<(), String> {
     report.print_summary();
-    match report.write_json(REPORT_PATH) {
-        Ok(()) => println!(
-            "wrote {REPORT_PATH} ({} warm responses across {} clients)",
-            report.warm.latencies_ms.len(),
-            report.clients,
-        ),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
-    let failures = report.gate_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    report.record().save(REPORT_PATH);
+    gate_result(report.gate_failures())
 }
 
 #[cfg(test)]
@@ -469,10 +455,10 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
-        let json = sample_report().to_json();
-        assert!(json.contains("\"gates_pass\": true"));
-        assert!(json.contains("\"warm_served\": 24"));
-        assert!(json.contains("\"lost\": 0"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = Json::parse(&sample_report().record().json().render_pretty()).unwrap();
+        assert_eq!(doc.get(&["invariants", "gates_pass"]), Some(&Json::Bool(true)));
+        assert_eq!(doc.get(&["invariants", "lost_is_zero"]), Some(&Json::Bool(true)));
+        assert_eq!(doc.get(&["exact", "warm_served"]).and_then(Json::as_f64), Some(24.0));
+        assert_eq!(doc.get(&["recorded", "warm_p99_ms"]).and_then(Json::as_f64), Some(24.0));
     }
 }

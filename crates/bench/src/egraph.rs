@@ -16,18 +16,18 @@
 use std::time::Instant;
 
 use lakeroad::suite::Microbenchmark;
-use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::Architecture;
 use lr_bv::BitVec;
 use lr_egraph::rules::bv_rules;
 use lr_egraph::{fold_term, Limits};
+use lr_serve::Json;
 use lr_smt::{TermId, TermPool};
-use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
+use lr_synth::SynthesisConfig;
 
-use crate::Scale;
+use crate::record::{fields, Record};
+use crate::{synthesize_dsp, Scale};
 
-/// Where the machine-readable record is written (repo-relative; CI uploads this
-/// exact path as an artifact, next to `BENCH_cegis.json`).
+/// Where the bench record is written (repo-relative).
 pub const REPORT_PATH: &str = "BENCH_egraph.json";
 
 /// One monster-disequality fold record.
@@ -118,78 +118,53 @@ impl EgraphReport {
         self.cegis.iter().filter(|r| r.egraph == egraph).map(|r| r.wall_ms).sum()
     }
 
-    /// Renders the record as a JSON document (dependency-free, like
-    /// `BENCH_cegis.json`; the format is stable for CI consumption).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"all_monsters_fold\": {},\n", self.all_monsters_fold()));
-        out.push_str("  \"monsters\": [\n");
-        for (i, m) in self.monsters.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"folded\": {}, \"input_nodes\": {}, \
-                 \"output_nodes\": {}, \"iterations\": {}, \"enodes\": {}, \"wall_ms\": {:.3}}}{}\n",
-                m.name,
-                m.folded,
-                m.input_nodes,
-                m.output_nodes,
-                m.iterations,
-                m.enodes,
-                m.wall_ms,
-                if i + 1 < self.monsters.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n  \"spec_saturations\": [\n");
-        for (i, s) in self.specs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"benchmark\": \"{}\", \"nodes_before\": {}, \
-                 \"nodes_after\": {}, \"iterations\": {}, \"enodes\": {}, \"classes\": {}, \
-                 \"wall_ms\": {:.3}}}{}\n",
-                s.arch,
-                s.benchmark,
-                s.nodes_before,
-                s.nodes_after,
-                s.iterations,
-                s.enodes,
-                s.classes,
-                s.wall_ms,
-                if i + 1 < self.specs.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"cegis_total_wall_ms_egraph\": {:.3},\n  \"cegis_total_wall_ms_no_egraph\": {:.3},\n",
-            self.cegis_total_ms(true),
-            self.cegis_total_ms(false)
-        ));
-        out.push_str("  \"cegis\": [\n");
-        for (i, r) in self.cegis.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"benchmark\": \"{}\", \"egraph\": {}, \"verdict\": \"{}\", \
-                 \"wall_ms\": {:.3}, \"egraph_attempts\": {}, \"egraph_folds\": {}, \
-                 \"verification_used_sat\": {}, \"conflicts\": {}}}{}\n",
-                r.arch,
-                r.benchmark,
-                r.egraph,
-                r.verdict,
-                r.wall_ms,
-                r.egraph_attempts,
-                r.egraph_folds,
-                r.verification_used_sat,
-                r.conflicts,
-                if i + 1 < self.cegis.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The bench record: every monster must fold (`invariants`) and the
+    /// e-graph-on CEGIS runs may not fold fewer disequalities (`at_least`);
+    /// the per-row detail and wall clocks are recorded only.
+    pub fn record(&self) -> Record {
+        let folds: usize = self.cegis.iter().filter(|r| r.egraph).map(|r| r.egraph_folds).sum();
+        let monsters: Vec<Json> = self
+            .monsters
+            .iter()
+            .map(|m| {
+                fields! {
+                    name: m.name, folded: m.folded, input_nodes: m.input_nodes,
+                    output_nodes: m.output_nodes, iterations: m.iterations, enodes: m.enodes,
+                    wall_ms: m.wall_ms,
+                }
+            })
+            .collect();
+        let specs: Vec<Json> = self
+            .specs
+            .iter()
+            .map(|s| {
+                fields! {
+                    arch: s.arch, benchmark: s.benchmark, nodes_before: s.nodes_before,
+                    nodes_after: s.nodes_after, iterations: s.iterations, enodes: s.enodes,
+                    classes: s.classes, wall_ms: s.wall_ms,
+                }
+            })
+            .collect();
+        let cegis: Vec<Json> = self
+            .cegis
+            .iter()
+            .map(|r| {
+                fields! {
+                    arch: r.arch, benchmark: r.benchmark, egraph: r.egraph, verdict: r.verdict,
+                    wall_ms: r.wall_ms, egraph_attempts: r.egraph_attempts,
+                    egraph_folds: r.egraph_folds, verification_used_sat: r.verification_used_sat,
+                    conflicts: r.conflicts,
+                }
+            })
+            .collect();
+        Record::new(self.scale)
+            .invariant("all_monsters_fold", self.all_monsters_fold())
+            .at_least("egraph_folds", folds)
+            .recorded("monsters", monsters)
+            .recorded("spec_saturations", specs)
+            .recorded("cegis_total_wall_ms_egraph", self.cegis_total_ms(true))
+            .recorded("cegis_total_wall_ms_no_egraph", self.cegis_total_ms(false))
+            .recorded("cegis", cegis)
     }
 
     /// Prints a human-readable summary.
@@ -249,15 +224,7 @@ impl EgraphReport {
 /// Prints the summary and writes [`REPORT_PATH`].
 pub fn report_and_write(report: &EgraphReport) {
     report.print_summary();
-    match report.write_json(REPORT_PATH) {
-        Ok(()) => println!(
-            "wrote {REPORT_PATH} ({} monsters, {} specs, {} cegis runs)",
-            report.monsters.len(),
-            report.specs.len(),
-            report.cegis.len()
-        ),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
+    report.record().save(REPORT_PATH);
 }
 
 /// Builds the three monster disequalities in a non-simplifying pool, so folding
@@ -359,22 +326,12 @@ fn run_cegis_one(
 ) -> Option<EgraphCegisRun> {
     let spec = bench.build();
     let spec = if egraph { spec.saturated() } else { spec };
-    let sketch = generate_sketch(Template::Dsp, arch, &spec).ok()?;
-    let t = pipeline_depth(&spec);
-    let task = SynthesisTask::over_window(&spec, &sketch, t, 2);
     let config = SynthesisConfig {
         timeout: Some(scale.timeout(arch.name())),
         egraph,
         ..SynthesisConfig::default()
     };
-    let start = Instant::now();
-    let outcome = synthesize(&task, &config).ok()?;
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (verdict, stats) = match &outcome {
-        SynthesisOutcome::Success(s) => ("success", &s.stats),
-        SynthesisOutcome::Unsat { stats } => ("unsat", stats),
-        SynthesisOutcome::Timeout { stats } => ("timeout", stats),
-    };
+    let (verdict, stats, wall_ms) = synthesize_dsp(arch, &spec, &config)?;
     Some(EgraphCegisRun {
         arch: arch.name().to_string(),
         benchmark: bench.name.clone(),
@@ -448,7 +405,7 @@ mod tests {
                 output_nodes: 1,
                 iterations: 4,
                 enodes: 90,
-                wall_ms: 1.5,
+                wall_ms: 1.234_56,
             }],
             specs: vec![SpecRecord {
                 arch: "intel_cyclone10lp".into(),
@@ -485,12 +442,15 @@ mod tests {
                 },
             ],
         };
-        let json = report.to_json();
+        let doc = Json::parse(&report.record().json().render_pretty()).unwrap();
         assert!(report.all_monsters_fold());
-        assert!(json.contains("\"all_monsters_fold\": true"));
-        assert!(json.contains("\"egraph_folds\": 1"));
-        assert!(json.contains("\"cegis_total_wall_ms_egraph\": 10.000"));
-        // Balanced braces → structurally sound JSON for this fixed writer.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(doc.get(&["invariants", "all_monsters_fold"]), Some(&Json::Bool(true)));
+        // Only the e-graph-on run's folds count toward the gated total.
+        assert_eq!(doc.get(&["at_least", "egraph_folds"]).and_then(Json::as_f64), Some(1.0));
+        let total = doc.get(&["recorded", "cegis_total_wall_ms_egraph"]).and_then(Json::as_f64);
+        assert_eq!(total, Some(10.0));
+        // Recorded floats keep four decimals.
+        let monsters = doc.get(&["recorded", "monsters"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(monsters[0].get(&["wall_ms"]).and_then(Json::as_f64), Some(1.2346));
     }
 }

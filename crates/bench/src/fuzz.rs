@@ -13,18 +13,20 @@
 //! `BENCH_fuzz.json` records the tallies. The acceptance gates are
 //! **zero-tolerance on mismatches**: every seed must clear layers 1–2, and
 //! every successful mapping must agree with its spec. Mapping *verdict*
-//! tallies (success/unsat/timeout) are recorded for drift-watching but not
-//! gated — they move with solver timing.
+//! tallies (success/unsat/timeout, and errors split by [`MapError`] variant)
+//! are recorded for drift-watching but not gated — they move with solver
+//! timing.
 
 use std::time::Duration;
 
-use lakeroad::{map_design, pipeline_depth, MapConfig, MapOutcome, Template};
+use lakeroad::{map_design, pipeline_depth, MapConfig, MapError, MapOutcome, Template};
 use lr_arch::Architecture;
 use lr_hdl::fuzz::{check_seed, interp_equivalent};
 
+use crate::record::{fields, gate_result, Record};
 use crate::Scale;
 
-/// Where the JSON report is written.
+/// Where the bench record is written (repo-relative).
 pub const REPORT_PATH: &str = "BENCH_fuzz.json";
 
 /// Random environments per equivalence check.
@@ -54,8 +56,9 @@ pub struct FuzzReport {
     pub map_unsat: usize,
     /// Budget exhaustions (timing-dependent; recorded, not gated).
     pub map_timeout: usize,
-    /// Mapping errors, e.g. sketch shape rejections (recorded, not gated).
-    pub map_error: usize,
+    /// Mapping errors by [`MapError`] variant: sketch, synthesis, frontend
+    /// (recorded, not gated).
+    pub map_errors: [usize; 3],
     /// Successful mappings whose implementation agreed with the spec.
     pub map_agree: usize,
     /// Every oracle failure, verbatim (each one fails the gate).
@@ -74,10 +77,15 @@ impl FuzzReport {
             map_success: 0,
             map_unsat: 0,
             map_timeout: 0,
-            map_error: 0,
+            map_errors: [0; 3],
             map_agree: 0,
             mismatches: Vec::new(),
         }
+    }
+
+    /// All mapping errors, whatever their variant.
+    pub fn map_error(&self) -> usize {
+        self.map_errors.iter().sum()
     }
 
     /// The failed acceptance gates; empty when the firehose ran clean.
@@ -113,35 +121,31 @@ impl FuzzReport {
         failures
     }
 
-    /// Renders the record as a JSON document (dependency-free, stable for CI).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"seeds_run\": {},\n", self.seeds_run));
-        out.push_str(&format!("  \"parse_ok\": {},\n", self.parse_ok));
-        out.push_str(&format!("  \"elaborate_ok\": {},\n", self.elaborate_ok));
-        out.push_str(&format!("  \"roundtrip_ok\": {},\n", self.roundtrip_ok));
-        out.push_str(&format!("  \"map_attempted\": {},\n", self.map_attempted));
-        out.push_str(&format!("  \"map_success\": {},\n", self.map_success));
-        out.push_str(&format!("  \"map_unsat\": {},\n", self.map_unsat));
-        out.push_str(&format!("  \"map_timeout\": {},\n", self.map_timeout));
-        out.push_str(&format!("  \"map_error\": {},\n", self.map_error));
-        out.push_str(&format!("  \"map_agree\": {},\n", self.map_agree));
-        out.push_str(&format!("  \"mismatch_count\": {},\n", self.mismatches.len()));
-        let escaped: Vec<String> =
-            self.mismatches.iter().map(|m| format!("\"{}\"", json_escape(m))).collect();
-        out.push_str(&format!("  \"mismatches\": [{}],\n", escaped.join(", ")));
-        out.push_str(&format!("  \"gates_pass\": {}\n", self.gate_failures().is_empty()));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The bench record: the generator and oracle are pure functions of the
+    /// seed range, so the frontend counters are `exact`; mismatches are
+    /// zero-tolerance `invariants`. Mapping tallies are timing-dependent and
+    /// recorded only.
+    pub fn record(&self) -> Record {
+        let [sketch, synthesis, frontend] = self.map_errors;
+        Record::new(self.scale)
+            .invariant("gates_pass", self.gate_failures().is_empty())
+            .invariant("mismatch_count_is_zero", self.mismatches.is_empty())
+            .exact("seeds_run", self.seeds_run)
+            .exact("parse_ok", self.parse_ok)
+            .exact("elaborate_ok", self.elaborate_ok)
+            .exact("roundtrip_ok", self.roundtrip_ok)
+            .recorded("map_attempted", self.map_attempted)
+            .recorded("map_success", self.map_success)
+            .recorded("map_unsat", self.map_unsat)
+            .recorded("map_timeout", self.map_timeout)
+            .recorded("map_error", self.map_error())
+            .recorded(
+                "map_errors",
+                fields! { sketch: sketch, synthesis: synthesis, frontend: frontend },
+            )
+            .recorded("map_agree", self.map_agree)
+            .recorded("mismatch_count", self.mismatches.len())
+            .recorded("mismatches", self.mismatches.clone())
     }
 
     /// Prints a human-readable summary.
@@ -152,13 +156,17 @@ impl FuzzReport {
             self.parse_ok, self.elaborate_ok, self.roundtrip_ok
         );
         println!(
-            "  mapping   {} posed: {} success ({} agree), {} unsat, {} timeout, {} error",
+            "  mapping   {} posed: {} success ({} agree), {} unsat, {} timeout, {} error \
+             ({} sketch, {} synthesis, {} frontend)",
             self.map_attempted,
             self.map_success,
             self.map_agree,
             self.map_unsat,
             self.map_timeout,
-            self.map_error
+            self.map_error(),
+            self.map_errors[0],
+            self.map_errors[1],
+            self.map_errors[2],
         );
         println!("  mismatches: {}", self.mismatches.len());
         for m in self.mismatches.iter().take(5) {
@@ -168,19 +176,6 @@ impl FuzzReport {
             println!("  GATE FAILED: {failure}");
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            '\t' => "\\t".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// (seeds, layer-3 cap, per-mapping budget) for each scale. Quick keeps CI in
@@ -240,7 +235,14 @@ pub fn run_fuzz_experiment(scale: Scale) -> FuzzReport {
             }
             Ok(MapOutcome::Unsat { .. }) => report.map_unsat += 1,
             Ok(MapOutcome::Timeout { .. }) => report.map_timeout += 1,
-            Err(_) => report.map_error += 1,
+            Err(e) => {
+                let variant = match e {
+                    MapError::Sketch(_) => 0,
+                    MapError::Synthesis(_) => 1,
+                    MapError::Frontend(_) => 2,
+                };
+                report.map_errors[variant] += 1;
+            }
         }
     }
     report
@@ -249,21 +251,17 @@ pub fn run_fuzz_experiment(scale: Scale) -> FuzzReport {
 /// Prints the summary, writes [`REPORT_PATH`], and reports gate failures.
 ///
 /// # Errors
-/// Returns the concatenated gate failures (or the I/O error text).
+/// Returns the concatenated gate failures.
 pub fn report_and_write(report: &FuzzReport) -> Result<(), String> {
     report.print_summary();
-    report.write_json(REPORT_PATH).map_err(|e| format!("writing {REPORT_PATH}: {e}"))?;
-    println!("\nwrote {REPORT_PATH}");
-    let failures = report.gate_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    report.record().save(REPORT_PATH);
+    gate_result(report.gate_failures())
 }
 
 #[cfg(test)]
 mod tests {
+    use lr_serve::Json;
+
     use super::*;
 
     fn clean_report() -> FuzzReport {
@@ -277,7 +275,7 @@ mod tests {
             map_success: 2,
             map_unsat: 1,
             map_timeout: 1,
-            map_error: 0,
+            map_errors: [0; 3],
             map_agree: 2,
             mismatches: Vec::new(),
         }
@@ -287,7 +285,10 @@ mod tests {
     fn clean_runs_pass_the_gates() {
         let report = clean_report();
         assert!(report.gate_failures().is_empty());
-        assert!(report.to_json().contains("\"gates_pass\": true"));
+        assert_eq!(
+            report.record().json().get(&["invariants", "gates_pass"]),
+            Some(&Json::Bool(true))
+        );
     }
 
     #[test]
@@ -297,7 +298,9 @@ mod tests {
         report.roundtrip_ok = 9;
         let failures = report.gate_failures();
         assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(report.to_json().contains("\"gates_pass\": false"));
+        let record = report.record().json();
+        assert_eq!(record.get(&["invariants", "gates_pass"]), Some(&Json::Bool(false)));
+        assert_eq!(record.get(&["invariants", "mismatch_count_is_zero"]), Some(&Json::Bool(false)));
     }
 
     #[test]
@@ -310,9 +313,16 @@ mod tests {
     #[test]
     fn json_escaping_keeps_the_report_parseable() {
         let mut report = clean_report();
-        report.mismatches.push("quote \" backslash \\ newline \n done".to_string());
-        let json = report.to_json();
-        assert!(json.contains(r#"quote \" backslash \\ newline \n done"#));
+        let nasty = "quote \" backslash \\ newline \n done";
+        report.mismatches.push(nasty.to_string());
+        report.map_errors = [5, 1, 0];
+        let doc = Json::parse(&report.record().json().render_pretty()).unwrap();
+        let mismatches = doc.get(&["recorded", "mismatches"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(mismatches[0].as_str(), Some(nasty));
+        // Every mapping error keeps its reason class.
+        assert_eq!(doc.get(&["recorded", "map_error"]).and_then(Json::as_f64), Some(6.0));
+        let sketch = doc.get(&["recorded", "map_errors", "sketch"]).and_then(Json::as_f64);
+        assert_eq!(sketch, Some(5.0));
     }
 
     #[test]

@@ -1,597 +1,145 @@
-//! The deterministic bench-regression gate.
+//! The deterministic bench-regression gate: one comparator for every
+//! `BENCH_*.json` [`Record`](crate::record::Record).
 //!
-//! CI regenerates the `BENCH_*.json` records on every run; this module compares
-//! them against the committed baselines on **deterministic counters only** —
-//! conflicts, propagations, iteration counts, cache hit rates, fold counts,
-//! verdict tallies. Wall-clock numbers are never compared: they depend on the
-//! machine, and a gate that flakes with the weather teaches people to ignore it.
+//! CI regenerates the records on every run and compares each against its
+//! committed baseline. The rule for a field is the section it sits in **in the
+//! baseline** — so a fresh record cannot escape a rule by moving a field into a
+//! weaker section — and a gated field missing from the fresh record fails:
 //!
-//! The counters it does compare are reproducible bit-for-bit because the sweeps
-//! that emit them run a single solver configuration on a single thread with fixed
-//! seeds. A small relative tolerance ([`TOLERANCE`]) still applies so that an
-//! intentional, reviewed behaviour change only trips the gate when it actually
-//! regresses search work; improvements always pass (and should be followed by a
-//! baseline refresh).
+//! * `exact` — fresh must equal the baseline;
+//! * `at_most` — fresh ≤ baseline × (1 + [`TOLERANCE`]) + [`ABSOLUTE_SLACK`];
+//! * `at_least` — fresh ≥ baseline;
+//! * `invariants` — fresh must be `true` (invariants only the fresh record
+//!   carries must hold too);
+//! * `recorded` — never compared. Wall clocks live here: they depend on the
+//!   machine, and a gate that flakes with the weather teaches people to ignore
+//!   it.
 //!
-//! The JSON reader is a deliberately tiny recursive-descent parser — the bench
-//! records are written by this crate without any serde dependency, and read back
-//! the same way.
+//! The gated counters reproduce bit-for-bit because the sweeps that emit them
+//! run a single solver configuration with fixed seeds. The tolerance lets an
+//! intentional, reviewed behaviour change trip the gate only when it actually
+//! regresses search work; improvements always pass (and should be followed by
+//! a baseline refresh).
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Relative headroom a counter may grow by before the gate fails (plus a small
-/// absolute slack for near-zero baselines).
+use lr_serve::Json;
+
+use crate::record::Section;
+
+/// Relative headroom an `at_most` counter may grow by before the gate fails.
 pub const TOLERANCE: f64 = 0.10;
 
-/// Absolute slack added on top of the relative tolerance.
+/// Absolute slack added on top of the relative tolerance, so near-zero
+/// baselines do not fail on noise.
 pub const ABSOLUTE_SLACK: f64 = 100.0;
 
-// ---------------------------------------------------------------------------
-// Minimal JSON value + parser
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (just enough for the `BENCH_*.json` records).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (the bench records stay well within `f64` precision).
-    Num(f64),
-    /// A string (no escape sequences beyond `\"`, `\\`, `\/`, `\n`, `\t` needed).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (insertion order irrelevant for the gate).
-    Obj(BTreeMap<String, Json>),
+/// The fields of one section of `doc` (none if the section is absent).
+fn fields(doc: &Json, section: Section) -> impl Iterator<Item = (&String, &Json)> {
+    match doc.get(&[section.key()]) {
+        Some(Json::Obj(map)) => Some(map.iter()),
+        _ => None,
+    }
+    .into_iter()
+    .flatten()
 }
 
-impl Json {
-    /// Parses a JSON document.
-    ///
-    /// # Errors
-    /// Returns a byte-offset description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Looks up a path of object keys, e.g. `get(&["cache", "hits"])`.
-    pub fn get(&self, path: &[&str]) -> Option<&Json> {
-        let mut cur = self;
-        for key in path {
-            match cur {
-                Json::Obj(map) => cur = map.get(*key)?,
-                _ => return None,
+/// Why `fresh` breaks `section`'s rule against `baseline`, if it does.
+fn violation(section: Section, baseline: &Json, fresh: Option<&Json>) -> Option<String> {
+    let Some(fresh) = fresh else {
+        return Some("is missing from the fresh record".to_string());
+    };
+    let numbers = || match (baseline.as_f64(), fresh.as_f64()) {
+        (Some(b), Some(f)) => Ok((b, f)),
+        _ => Err(format!("is not a number ({} vs baseline {})", fresh.render(), baseline.render())),
+    };
+    match section {
+        Section::Exact => (fresh != baseline)
+            .then(|| format!("changed: {} vs baseline {}", fresh.render(), baseline.render())),
+        Section::AtMost => match numbers() {
+            Err(e) => Some(e),
+            Ok((b, f)) => {
+                let limit = b * (1.0 + TOLERANCE) + ABSOLUTE_SLACK;
+                (f > limit)
+                    .then(|| format!("regressed: {f} exceeds baseline {b} (limit {limit:.0})"))
             }
+        },
+        Section::AtLeast => match numbers() {
+            Err(e) => Some(e),
+            Ok((b, f)) => (f < b).then(|| format!("regressed: {f} is below baseline {b}")),
+        },
+        Section::Invariants => {
+            (fresh != &Json::Bool(true)).then(|| format!("does not hold ({})", fresh.render()))
         }
-        Some(cur)
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
+        Section::Recorded => None,
     }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
+/// Compares one fresh record against its baseline and returns every failure,
+/// each prefixed with `file`. A scale mismatch is reported and nothing else is
+/// compared. A baseline without a `scale` and all five sections fails: it
+/// would otherwise gate nothing.
+pub fn compare(file: &str, baseline: &Json, fresh: &Json) -> Vec<String> {
+    let is_section = |s: Section| matches!(baseline.get(&[s.key()]), Some(Json::Obj(_)));
+    let scale = |doc: &Json| doc.get(&["scale"]).and_then(Json::as_str).map(str::to_string);
+    let (b, f) = (scale(baseline), scale(fresh));
+    if b.is_none() || !Section::ALL.into_iter().all(is_section) {
+        return vec![format!("{file}: baseline is not a bench record")];
     }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(map));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected `:` at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos)?;
-                map.insert(key, value);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(map));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            // Accumulate raw bytes and validate as UTF-8 once, so multi-byte
-            // sequences survive intact.
-            let mut out: Vec<u8> = Vec::new();
-            loop {
-                match bytes.get(*pos) {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return String::from_utf8(out)
-                            .map(Json::Str)
-                            .map_err(|_| "invalid UTF-8 in string".to_string());
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match bytes.get(*pos) {
-                            Some(b'"') => out.push(b'"'),
-                            Some(b'\\') => out.push(b'\\'),
-                            Some(b'/') => out.push(b'/'),
-                            Some(b'n') => out.push(b'\n'),
-                            Some(b't') => out.push(b'\t'),
-                            other => return Err(format!("unsupported escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        out.push(c);
-                        *pos += 1;
-                    }
-                }
-            }
-        }
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&bytes[start..*pos])
-                .ok()
-                .and_then(|t| t.parse::<f64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("malformed number at byte {start}"))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gate rules
-// ---------------------------------------------------------------------------
-
-/// `fresh` may not exceed `baseline` by more than the tolerance.
-fn check_counter(failures: &mut Vec<String>, file: &str, label: &str, baseline: f64, fresh: f64) {
-    let limit = baseline * (1.0 + TOLERANCE) + ABSOLUTE_SLACK;
-    if fresh > limit {
-        failures.push(format!(
-            "{file}: {label} regressed: {fresh:.0} exceeds baseline {baseline:.0} \
-             (limit {limit:.0})"
-        ));
-    }
-}
-
-fn scales_match(failures: &mut Vec<String>, file: &str, baseline: &Json, fresh: &Json) -> bool {
-    let b = baseline.get(&["scale"]).and_then(Json::as_str);
-    let f = fresh.get(&["scale"]).and_then(Json::as_str);
     if b != f {
-        failures.push(format!("{file}: scale mismatch (baseline {b:?}, fresh {f:?})"));
-        return false;
+        return vec![format!("{file}: scale mismatch (baseline {b:?}, fresh {f:?})")];
     }
-    true
-}
-
-/// Sums a numeric field over the entries of `array` that `select` accepts.
-fn sum_field(doc: &Json, array: &str, field: &str, select: impl Fn(&Json) -> bool) -> f64 {
-    doc.get(&[array])
-        .and_then(Json::as_arr)
-        .map(|items| {
-            items
-                .iter()
-                .filter(|e| select(e))
-                .filter_map(|e| e.get(&[field]).and_then(Json::as_f64))
-                .sum()
-        })
-        .unwrap_or(0.0)
-}
-
-/// Tallies the `verdict` strings of the entries `select` accepts.
-fn verdict_tally(
-    doc: &Json,
-    array: &str,
-    select: impl Fn(&Json) -> bool,
-) -> BTreeMap<String, usize> {
-    let mut tally = BTreeMap::new();
-    if let Some(items) = doc.get(&[array]).and_then(Json::as_arr) {
-        for item in items.iter().filter(|e| select(e)) {
-            if let Some(v) = item.get(&["verdict"]).and_then(Json::as_str) {
-                *tally.entry(v.to_string()).or_insert(0) += 1;
+    let mut failures = Vec::new();
+    for section in Section::ALL.into_iter().filter(|&s| s != Section::Recorded) {
+        for (key, value) in fields(baseline, section) {
+            if let Some(why) = violation(section, value, fresh.get(&[section.key(), key])) {
+                failures.push(format!("{file}: {}.{key} {why}", section.key()));
             }
         }
     }
-    tally
-}
-
-fn check_cegis(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_cegis.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    for (mode, label) in [(true, "incremental"), (false, "from-scratch")] {
-        let select = |e: &Json| e.get(&["incremental"]).and_then(Json::as_bool) == Some(mode);
-        for field in ["conflicts", "iterations"] {
-            check_counter(
-                failures,
-                FILE,
-                &format!("{label} total {field}"),
-                sum_field(baseline, "benchmarks", field, select),
-                sum_field(fresh, "benchmarks", field, select),
-            );
-        }
-        let (b, f) = (
-            verdict_tally(baseline, "benchmarks", select),
-            verdict_tally(fresh, "benchmarks", select),
-        );
-        if b != f {
-            failures.push(format!(
-                "{FILE}: {label} verdict tally changed: baseline {b:?}, fresh {f:?}"
-            ));
+    for (key, value) in fields(fresh, Section::Invariants) {
+        if baseline.get(&[Section::Invariants.key(), key]).is_none() && value != &Json::Bool(true) {
+            failures.push(format!("{file}: invariants.{key} does not hold ({})", value.render()));
         }
     }
+    failures
 }
 
-fn check_egraph(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_egraph.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["all_monsters_fold"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!("{FILE}: a monster disequality no longer folds"));
-    }
-    let select = |e: &Json| e.get(&["egraph"]).and_then(Json::as_bool) == Some(true);
-    let baseline_folds = sum_field(baseline, "cegis", "egraph_folds", select);
-    let fresh_folds = sum_field(fresh, "cegis", "egraph_folds", select);
-    if fresh_folds < baseline_folds {
-        failures.push(format!(
-            "{FILE}: egraph fold count regressed: {fresh_folds:.0} below baseline \
-             {baseline_folds:.0} (queries now falling through to SAT)"
-        ));
-    }
+fn read_record(path: &Path) -> Result<Json, String> {
+    std::fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|t| Json::parse(&t))
 }
 
-fn check_serve(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_serve.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!("{FILE}: the serving experiment's own gates failed"));
-    }
-    let baseline_rate = baseline.get(&["warm_hit_rate"]).and_then(Json::as_f64).unwrap_or(0.0);
-    let fresh_rate = fresh.get(&["warm_hit_rate"]).and_then(Json::as_f64).unwrap_or(0.0);
-    if fresh_rate < baseline_rate {
-        failures.push(format!(
-            "{FILE}: warm cache hit rate regressed: {fresh_rate} below baseline {baseline_rate}"
-        ));
-    }
-}
-
-fn check_sat(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_sat.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!(
-            "{FILE}: modern-vs-legacy gates failed (strictly more work or verdict drift)"
-        ));
-    }
-    for field in ["total_conflicts_modern", "total_propagations_modern"] {
-        let b = baseline.get(&[field]).and_then(Json::as_f64).unwrap_or(0.0);
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        check_counter(failures, FILE, field, b, f);
-    }
-}
-
-fn check_daemon(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_daemon.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!("{FILE}: the daemon experiment's own gates failed"));
-    }
-    // Hard invariants, not tolerances: a graceful drain loses nothing, and the
-    // workload is sized inside the admission bound.
-    for field in ["lost", "rejected"] {
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != 0.0 {
-            failures.push(format!("{FILE}: {field} is {f:.0}, expected exactly 0"));
-        }
-    }
-    // Deterministic accounting: the request and warm-hit counts depend only on
-    // the scale's client/request shape, never on timing.
-    for field in ["accepted", "completed", "warm_served", "warm_hits", "cold_misses"] {
-        let b = baseline.get(&[field]).and_then(Json::as_f64).unwrap_or(0.0);
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != b {
-            failures.push(format!("{FILE}: {field} changed: {f:.0} vs baseline {b:.0}"));
-        }
-    }
-}
-
-fn check_fuzz(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_fuzz.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!("{FILE}: the fuzz experiment's own gates failed"));
-    }
-    // Zero tolerance: a differential mismatch is a frontend/backend soundness
-    // bug, never an acceptable drift.
-    let mismatches = fresh.get(&["mismatch_count"]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-    if mismatches != 0.0 {
-        failures.push(format!("{FILE}: mismatch_count is {mismatches:.0}, expected exactly 0"));
-    }
-    // Deterministic counters: the generator and oracle are pure functions of
-    // the seed range, so these must reproduce exactly. Mapping verdict tallies
-    // (success/unsat/timeout) are timing-dependent and deliberately ungated.
-    for field in ["seeds_run", "parse_ok", "elaborate_ok", "roundtrip_ok"] {
-        let b = baseline.get(&[field]).and_then(Json::as_f64).unwrap_or(0.0);
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != b {
-            failures.push(format!("{FILE}: {field} changed: {f:.0} vs baseline {b:.0}"));
-        }
-    }
-}
-
-fn check_trace(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_trace.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!(
-            "{FILE}: the tracing experiment's own gates failed (counter drift or missing spans)"
-        ));
-    }
-    // Zero tolerance: tracing is pure observation. A single counter that moved
-    // between the untraced and traced passes means a span steered the search.
-    let mismatches = fresh.get(&["counter_mismatches"]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-    if mismatches != 0.0 {
-        failures.push(format!("{FILE}: counter_mismatches is {mismatches:.0}, expected exactly 0"));
-    }
-    // The traced pass must actually record spans — zero events means the
-    // instrumentation rotted out of the hot path.
-    let events = fresh.get(&["traced_events"]).and_then(Json::as_f64).unwrap_or(0.0);
-    if events <= 0.0 {
-        failures.push(format!("{FILE}: traced pass recorded no span events"));
-    }
-    // The search-work counters compare against the baseline with the usual
-    // tolerance; overhead_ratio and wall times are deliberately ungated.
-    for field in ["conflicts", "iterations"] {
-        check_counter(
-            failures,
-            FILE,
-            &format!("total {field}"),
-            sum_field(baseline, "benchmarks", field, |_| true),
-            sum_field(fresh, "benchmarks", field, |_| true),
-        );
-    }
-}
-
-fn check_obs(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_obs.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!(
-            "{FILE}: the observability experiment's own gates failed (forensics perturbed the \
-             search, bundles missing, or malformed metrics)"
-        ));
-    }
-    // Zero tolerance: the flight recorder is pure observation, the OpenMetrics
-    // exposition must always parse, and a graceful drain loses nothing.
-    for field in ["counter_mismatches", "metrics_errors", "lost"] {
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != 0.0 {
-            failures.push(format!("{FILE}: {field} is {f:.0}, expected exactly 0"));
-        }
-    }
-    // Deterministic accounting: the workload shape, the bundle-per-request
-    // contract of `--slow-ms 0`, and per-id retrieval depend only on the
-    // scale, never on timing. Wall clocks are deliberately ungated.
-    for field in ["accepted", "completed", "bundles_written", "records_retrieved"] {
-        let b = baseline.get(&[field]).and_then(Json::as_f64).unwrap_or(0.0);
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != b {
-            failures.push(format!("{FILE}: {field} changed: {f:.0} vs baseline {b:.0}"));
-        }
-    }
-}
-
-fn check_aig(failures: &mut Vec<String>, baseline: &Json, fresh: &Json) {
-    const FILE: &str = "BENCH_aig.json";
-    if !scales_match(failures, FILE, baseline, fresh) {
-        return;
-    }
-    if fresh.get(&["gates_pass"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!(
-            "{FILE}: the structural-frontend experiment's own gates failed (a stitch \
-             disagreed with its netlist, a warm cone missed the cache, or a cone \
-             outgrew the LUT)"
-        ));
-    }
-    // Zero tolerance: a stitched design that disagrees with its source netlist
-    // is a soundness bug, never an acceptable drift — and every warm cone must
-    // be served from the cache.
-    let mismatches = fresh.get(&["total_mismatches"]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-    if mismatches != 0.0 {
-        failures.push(format!("{FILE}: total_mismatches is {mismatches:.0}, expected exactly 0"));
-    }
-    if fresh.get(&["warm_all_hits"]).and_then(Json::as_bool) != Some(true) {
-        failures.push(format!("{FILE}: a warm cone was not served from the cache"));
-    }
-    // Deterministic accounting: the fixtures are committed and the partitioner
-    // is a pure function of the AIG, so the cone/coverage counters must
-    // reproduce exactly. Wall clocks and cold cache hits (timing-dependent
-    // under parallel workers) are deliberately ungated.
-    for field in ["total_ands", "largest_fixture_ands", "total_cones", "unique_cones"] {
-        let b = baseline.get(&[field]).and_then(Json::as_f64).unwrap_or(0.0);
-        let f = fresh.get(&[field]).and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if f != b {
-            failures.push(format!("{FILE}: {field} changed: {f:.0} vs baseline {b:.0}"));
-        }
-    }
-    for field in ["covered_ands", "max_leaves", "logic_elements", "registers"] {
-        let b = sum_field(baseline, "fixtures", field, |_| true);
-        let f = sum_field(fresh, "fixtures", field, |_| true);
-        if f != b {
-            failures.push(format!(
-                "{FILE}: per-fixture {field} total changed: {f:.0} vs baseline {b:.0}"
-            ));
-        }
-    }
-}
-
-/// One file's comparison rule: (failures, baseline document, fresh document).
-pub type GateRule = fn(&mut Vec<String>, &Json, &Json);
-
-/// The `BENCH_*.json` files the gate knows how to compare, with their rules.
-pub const GATED_FILES: [(&str, GateRule); 9] = [
-    ("BENCH_cegis.json", check_cegis),
-    ("BENCH_egraph.json", check_egraph),
-    ("BENCH_serve.json", check_serve),
-    ("BENCH_sat.json", check_sat),
-    ("BENCH_daemon.json", check_daemon),
-    ("BENCH_fuzz.json", check_fuzz),
-    ("BENCH_trace.json", check_trace),
-    ("BENCH_obs.json", check_obs),
-    ("BENCH_aig.json", check_aig),
-];
-
-/// Compares every known bench record present in `baseline_dir` against its
-/// freshly generated counterpart in `fresh_dir`.
+/// Compares every `BENCH_*.json` record in `baseline_dir` against its freshly
+/// generated counterpart in `fresh_dir`, returning the files checked.
 ///
 /// A record present in the baseline directory but missing from the fresh one is
 /// a failure (the sweep that emits it did not run); a record absent from the
-/// baseline directory is skipped (no baseline yet — commit one to arm the gate).
+/// baseline directory is not gated (no baseline yet — commit one to arm the
+/// gate).
 ///
 /// # Errors
-/// Returns every failure, one description per line.
+/// Returns every failure, one description per entry.
 pub fn run_gate(baseline_dir: &Path, fresh_dir: &Path) -> Result<Vec<String>, Vec<String>> {
+    let mut files: Vec<String> = std::fs::read_dir(baseline_dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| entry.file_name().into_string().ok())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    files.sort();
     let mut failures = Vec::new();
-    let mut checked = Vec::new();
-    for (file, check) in GATED_FILES {
-        let baseline_path = baseline_dir.join(file);
-        if !baseline_path.exists() {
-            continue;
+    for file in &files {
+        match (read_record(&baseline_dir.join(file)), read_record(&fresh_dir.join(file))) {
+            (Err(e), _) => failures.push(format!("{file}: unreadable baseline: {e}")),
+            (_, Err(e)) => {
+                failures.push(format!("{file}: fresh record missing or unreadable: {e}"))
+            }
+            (Ok(baseline), Ok(fresh)) => failures.extend(compare(file, &baseline, &fresh)),
         }
-        let fresh_path = fresh_dir.join(file);
-        let baseline = match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Json::parse(&t))
-        {
-            Ok(doc) => doc,
-            Err(e) => {
-                failures.push(format!("{file}: unreadable baseline: {e}"));
-                continue;
-            }
-        };
-        let fresh = match std::fs::read_to_string(&fresh_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Json::parse(&t))
-        {
-            Ok(doc) => doc,
-            Err(e) => {
-                failures.push(format!("{file}: fresh record missing or unreadable: {e}"));
-                continue;
-            }
-        };
-        check(&mut failures, &baseline, &fresh);
-        checked.push(file.to_string());
     }
     if failures.is_empty() {
-        Ok(checked)
+        Ok(files)
     } else {
         Err(failures)
     }
@@ -599,347 +147,299 @@ pub fn run_gate(baseline_dir: &Path, fresh_dir: &Path) -> Result<Vec<String>, Ve
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use crate::record::Section::{AtLeast, AtMost, Exact, Invariants};
 
-    #[test]
-    fn parser_round_trips_the_bench_shapes() {
-        let doc = Json::parse(
-            "{\n  \"scale\": \"Quick\",\n  \"speedup\": 1.512,\n  \"ok\": true,\n  \
-             \"items\": [{\"n\": 1}, {\"n\": -2.5e1}],\n  \"nothing\": null\n}",
-        )
-        .unwrap();
-        assert_eq!(doc.get(&["scale"]).and_then(Json::as_str), Some("Quick"));
-        assert_eq!(doc.get(&["speedup"]).and_then(Json::as_f64), Some(1.512));
-        assert_eq!(doc.get(&["ok"]).and_then(Json::as_bool), Some(true));
-        let items = doc.get(&["items"]).and_then(Json::as_arr).unwrap();
-        assert_eq!(items[1].get(&["n"]).and_then(Json::as_f64), Some(-25.0));
-        assert_eq!(doc.get(&["nothing"]), Some(&Json::Null));
+    fn repo_file(file: &str) -> std::path::PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file)
     }
 
-    #[test]
-    fn parser_preserves_multi_byte_utf8_strings() {
-        let doc = Json::parse("{\"arch\": \"Xilinx UltraScale+ → §5.1\"}").unwrap();
-        assert_eq!(doc.get(&["arch"]).and_then(Json::as_str), Some("Xilinx UltraScale+ → §5.1"));
+    fn committed(file: &str) -> Json {
+        let text =
+            std::fs::read_to_string(repo_file(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        Json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"))
     }
 
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        assert!(Json::parse("{\"a\": }").is_err());
-        assert!(Json::parse("[1, 2").is_err());
-        assert!(Json::parse("{\"a\": 1} trailing").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
+    /// A mutable handle on `doc[section]`.
+    fn section<'a>(doc: &'a mut Json, section: &str) -> &'a mut BTreeMap<String, Json> {
+        let Json::Obj(root) = doc else { panic!("not an object") };
+        let Some(Json::Obj(fields)) = root.get_mut(section) else { panic!("no {section}") };
+        fields
+    }
+
+    /// A mutable handle on `doc[section][key]`.
+    fn field<'a>(doc: &'a mut Json, name: &str, key: &str) -> &'a mut Json {
+        section(doc, name).get_mut(key).unwrap_or_else(|| panic!("no {name}.{key}"))
+    }
+
+    fn remove(doc: &mut Json, name: &str, key: &str) {
+        section(doc, name).remove(key);
+    }
+
+    fn record(exact: u64, at_most: u64, at_least: f64, invariant: bool) -> Json {
+        Json::parse(&format!(
+            "{{\"scale\": \"Quick\", \"exact\": {{\"cones\": {exact}}}, \
+             \"at_most\": {{\"conflicts\": {at_most}}}, \"at_least\": {{\"hit_rate\": {at_least}}}, \
+             \"invariants\": {{\"gates_pass\": {invariant}}}, \
+             \"recorded\": {{\"wall_ms\": 100.5, \"rows\": [{{\"n\": 1}}]}}}}"
+        ))
+        .unwrap()
+    }
+
+    fn gate(baseline: &Json, fresh: &Json) -> Vec<String> {
+        compare("BENCH_x.json", baseline, fresh)
     }
 
     #[test]
     fn the_committed_baselines_parse() {
-        // The real records this gate will read in CI must stay parseable by the
-        // mini parser.
-        for file in [
-            "BENCH_cegis.json",
-            "BENCH_egraph.json",
-            "BENCH_serve.json",
-            "BENCH_daemon.json",
-            "BENCH_fuzz.json",
-            "BENCH_trace.json",
-            "BENCH_obs.json",
-            "BENCH_aig.json",
-        ] {
-            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                Json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+        // Every committed record is a bench record the gate can read.
+        let dir = repo_file("");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+            let name = entry.file_name().into_string().unwrap();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let doc = committed(&name);
+                assert!(doc.get(&["scale"]).and_then(Json::as_str).is_some(), "{name}");
+                for section in Section::ALL {
+                    assert!(doc.get(&[section.key()]).is_some(), "{name} lacks {}", section.key());
+                }
+                seen += 1;
             }
+        }
+        assert_eq!(seen, 9, "one committed record per gated experiment");
+    }
+
+    #[test]
+    fn exact_rule_fails_on_any_change() {
+        let baseline = record(400, 1000, 1.0, true);
+        assert!(gate(&baseline, &record(400, 1000, 1.0, true)).is_empty());
+        for cones in [399, 401] {
+            let failures = gate(&baseline, &record(cones, 1000, 1.0, true));
+            assert!(failures.iter().any(|f| f.contains("exact.cones changed")), "{failures:?}");
         }
     }
 
-    fn sat_doc(conflicts: u64, propagations: u64, gates_pass: bool) -> String {
-        format!(
-            "{{\"scale\": \"Quick\", \"total_conflicts_modern\": {conflicts}, \
-             \"total_propagations_modern\": {propagations}, \"gates_pass\": {gates_pass}, \
-             \"benchmarks\": []}}"
-        )
+    #[test]
+    fn at_most_rule_fails_beyond_tolerance_and_passes_within_it() {
+        let baseline = record(400, 10_000, 1.0, true);
+        // +5% and any improvement: within tolerance.
+        assert!(gate(&baseline, &record(400, 10_500, 1.0, true)).is_empty());
+        assert!(gate(&baseline, &record(400, 5_000, 1.0, true)).is_empty());
+        // The limit itself passes; one past it fails.
+        let limit = (10_000.0 * (1.0 + TOLERANCE) + ABSOLUTE_SLACK) as u64;
+        assert!(gate(&baseline, &record(400, limit, 1.0, true)).is_empty());
+        let failures = gate(&baseline, &record(400, limit + 1, 1.0, true));
+        assert!(failures.iter().any(|f| f.contains("at_most.conflicts regressed")), "{failures:?}");
     }
 
     #[test]
-    fn sat_rule_fails_on_conflict_regression_and_passes_within_tolerance() {
-        let baseline = Json::parse(&sat_doc(10_000, 1_000_000, true)).unwrap();
-        // +5% conflicts: within tolerance.
-        let ok = Json::parse(&sat_doc(10_500, 1_000_000, true)).unwrap();
-        let mut failures = Vec::new();
-        check_sat(&mut failures, &baseline, &ok);
-        assert!(failures.is_empty(), "{failures:?}");
-        // +50% conflicts: regression.
-        let bad = Json::parse(&sat_doc(15_000, 1_000_000, true)).unwrap();
-        let mut failures = Vec::new();
-        check_sat(&mut failures, &baseline, &bad);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("total_conflicts_modern"));
-        // gates_pass=false always fails.
-        let bad = Json::parse(&sat_doc(10_000, 1_000_000, false)).unwrap();
-        let mut failures = Vec::new();
-        check_sat(&mut failures, &baseline, &bad);
-        assert!(!failures.is_empty());
+    fn at_least_rule_fails_below_the_baseline() {
+        let baseline = record(400, 1000, 0.9, true);
+        assert!(gate(&baseline, &record(400, 1000, 0.9, true)).is_empty());
+        assert!(gate(&baseline, &record(400, 1000, 1.0, true)).is_empty());
+        let failures = gate(&baseline, &record(400, 1000, 0.8999, true));
+        assert!(failures.iter().any(|f| f.contains("at_least.hit_rate regressed")), "{failures:?}");
     }
 
     #[test]
-    fn cegis_rule_compares_per_mode_sums_and_verdicts() {
-        let doc = |conflicts: u64, verdict: &str| {
-            Json::parse(&format!(
-                "{{\"scale\": \"Quick\", \"benchmarks\": [\
-                 {{\"incremental\": true, \"conflicts\": {conflicts}, \"iterations\": 2, \
-                 \"verdict\": \"{verdict}\"}}, \
-                 {{\"incremental\": false, \"conflicts\": 500, \"iterations\": 2, \
-                 \"verdict\": \"success\"}}]}}"
-            ))
-            .unwrap()
-        };
-        let baseline = doc(1000, "success");
-        let mut failures = Vec::new();
-        check_cegis(&mut failures, &baseline, &doc(1050, "success"));
-        assert!(failures.is_empty(), "{failures:?}");
-        let mut failures = Vec::new();
-        check_cegis(&mut failures, &baseline, &doc(5000, "success"));
-        assert!(failures.iter().any(|f| f.contains("conflicts")));
-        let mut failures = Vec::new();
-        check_cegis(&mut failures, &baseline, &doc(1000, "timeout"));
-        assert!(failures.iter().any(|f| f.contains("verdict tally")));
-    }
-
-    fn daemon_doc(lost: u64, warm_served: u64, gates_pass: bool) -> Json {
-        Json::parse(&format!(
-            "{{\"scale\": \"Quick\", \"accepted\": 30, \"completed\": 30, \"rejected\": 0, \
-             \"lost\": {lost}, \"warm_served\": {warm_served}, \"warm_hits\": {warm_served}, \
-             \"cold_misses\": 3, \"warm_p99_ms\": 90.0, \"gates_pass\": {gates_pass}}}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn daemon_rule_pins_accounting_exactly_and_ignores_latency() {
-        let baseline = daemon_doc(0, 24, true);
-        // Identical counters pass, no matter how the (ungated) latency moved.
-        let mut failures = Vec::new();
-        check_daemon(&mut failures, &baseline, &daemon_doc(0, 24, true));
-        assert!(failures.is_empty(), "{failures:?}");
-
-        // One lost job is an absolute failure, not a tolerance question.
-        let mut failures = Vec::new();
-        check_daemon(&mut failures, &baseline, &daemon_doc(1, 24, true));
-        assert!(failures.iter().any(|f| f.contains("lost")));
-
-        // A warm verdict that fell out of the cache shifts the deterministic
-        // counters and fails exactly.
-        let mut failures = Vec::new();
-        check_daemon(&mut failures, &baseline, &daemon_doc(0, 23, true));
-        assert!(failures.iter().any(|f| f.contains("warm_served")));
-
-        let mut failures = Vec::new();
-        check_daemon(&mut failures, &baseline, &daemon_doc(0, 24, false));
-        assert!(failures.iter().any(|f| f.contains("own gates")));
-    }
-
-    fn fuzz_doc(mismatches: u64, roundtrip_ok: u64, gates_pass: bool) -> Json {
-        Json::parse(&format!(
-            "{{\"scale\": \"Quick\", \"seeds_run\": 200, \"parse_ok\": 200, \
-             \"elaborate_ok\": 200, \"roundtrip_ok\": {roundtrip_ok}, \"map_attempted\": 8, \
-             \"map_success\": 2, \"map_unsat\": 3, \"map_timeout\": 3, \"map_agree\": 2, \
-             \"mismatch_count\": {mismatches}, \"mismatches\": [], \
-             \"gates_pass\": {gates_pass}}}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn fuzz_rule_is_zero_tolerance_on_mismatches_and_ignores_map_tallies() {
-        let baseline = fuzz_doc(0, 200, true);
-        let mut failures = Vec::new();
-        check_fuzz(&mut failures, &baseline, &fuzz_doc(0, 200, true));
-        assert!(failures.is_empty(), "{failures:?}");
-
-        // A single mismatch is an absolute failure.
-        let mut failures = Vec::new();
-        check_fuzz(&mut failures, &baseline, &fuzz_doc(1, 200, true));
-        assert!(failures.iter().any(|f| f.contains("mismatch_count")));
-
-        // Deterministic counters must reproduce exactly.
-        let mut failures = Vec::new();
-        check_fuzz(&mut failures, &baseline, &fuzz_doc(0, 199, true));
-        assert!(failures.iter().any(|f| f.contains("roundtrip_ok")));
-
-        // Mapping verdict tallies are timing-dependent and ungated: a fresh
-        // record whose success/unsat/timeout split moved still passes.
-        let moved = Json::parse(
-            "{\"scale\": \"Quick\", \"seeds_run\": 200, \"parse_ok\": 200, \
-             \"elaborate_ok\": 200, \"roundtrip_ok\": 200, \"map_attempted\": 8, \
-             \"map_success\": 0, \"map_unsat\": 1, \"map_timeout\": 7, \"map_agree\": 0, \
-             \"mismatch_count\": 0, \"mismatches\": [], \"gates_pass\": true}",
-        )
-        .unwrap();
-        let mut failures = Vec::new();
-        check_fuzz(&mut failures, &baseline, &moved);
-        assert!(failures.is_empty(), "map tallies must be ungated: {failures:?}");
-
-        let mut failures = Vec::new();
-        check_fuzz(&mut failures, &baseline, &fuzz_doc(0, 200, false));
-        assert!(failures.iter().any(|f| f.contains("own gates")));
-    }
-
-    fn trace_doc(mismatches: u64, events: u64, conflicts: u64, gates_pass: bool) -> Json {
-        Json::parse(&format!(
-            "{{\"scale\": \"Quick\", \"untraced_total_ms\": 100.0, \"traced_total_ms\": 103.0, \
-             \"overhead_ratio\": 1.03, \"traced_events\": {events}, \"dropped_events\": 0, \
-             \"counter_mismatches\": {mismatches}, \"missing_spans\": [], \
-             \"gates_pass\": {gates_pass}, \"benchmarks\": [{{\"benchmark\": \"mul_w8_s0\", \
-             \"conflicts\": {conflicts}, \"iterations\": 2, \"identical\": true}}]}}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn trace_rule_is_zero_tolerance_on_identity_and_ignores_overhead() {
-        let baseline = trace_doc(0, 500, 1000, true);
-        let mut failures = Vec::new();
-        check_trace(&mut failures, &baseline, &trace_doc(0, 500, 1050, true));
-        assert!(failures.is_empty(), "{failures:?}");
-
-        // A single counter mismatch between traced and untraced is absolute.
-        let mut failures = Vec::new();
-        check_trace(&mut failures, &baseline, &trace_doc(1, 500, 1000, true));
-        assert!(failures.iter().any(|f| f.contains("counter_mismatches")));
-
-        // A traced pass with no events means the spans rotted.
-        let mut failures = Vec::new();
-        check_trace(&mut failures, &baseline, &trace_doc(0, 0, 1000, true));
-        assert!(failures.iter().any(|f| f.contains("no span events")));
-
-        // Search-work regressions beyond tolerance still trip the gate.
-        let mut failures = Vec::new();
-        check_trace(&mut failures, &baseline, &trace_doc(0, 500, 5000, true));
-        assert!(failures.iter().any(|f| f.contains("total conflicts")));
-
-        // Overhead ratio and wall times are ungated: a 100x slower traced pass
-        // with identical counters passes.
-        let mut failures = Vec::new();
-        let slow = Json::parse(
-            "{\"scale\": \"Quick\", \"untraced_total_ms\": 100.0, \
-             \"traced_total_ms\": 10000.0, \"overhead_ratio\": 100.0, \
-             \"traced_events\": 500, \"dropped_events\": 0, \"counter_mismatches\": 0, \
-             \"missing_spans\": [], \"gates_pass\": true, \"benchmarks\": [{\"benchmark\": \
-             \"mul_w8_s0\", \"conflicts\": 1000, \"iterations\": 2, \"identical\": true}]}",
-        )
-        .unwrap();
-        check_trace(&mut failures, &baseline, &slow);
-        assert!(failures.is_empty(), "overhead must be ungated: {failures:?}");
-
-        let mut failures = Vec::new();
-        check_trace(&mut failures, &baseline, &trace_doc(0, 500, 1000, false));
-        assert!(failures.iter().any(|f| f.contains("own gates")));
-    }
-
-    fn obs_doc(mismatches: u64, metrics_errors: u64, bundles: u64, gates_pass: bool) -> Json {
-        Json::parse(&format!(
-            "{{\"scale\": \"Quick\", \"distinct\": 4, \"accepted\": 9, \"completed\": 9, \
-             \"lost\": 0, \"counter_mismatches\": {mismatches}, \"bundles_written\": {bundles}, \
-             \"bundle_files\": 10, \"records_retrieved\": 4, \
-             \"metrics_errors\": {metrics_errors}, \"metrics_lines\": 120, \
-             \"off_wall_ms\": 500.0, \"on_wall_ms\": 520.0, \"gates_pass\": {gates_pass}}}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn obs_rule_is_zero_tolerance_on_identity_and_exposition() {
-        let baseline = obs_doc(0, 0, 9, true);
-        // Identical counters pass, no matter how the (ungated) wall time moved.
-        let mut failures = Vec::new();
-        check_obs(&mut failures, &baseline, &obs_doc(0, 0, 9, true));
-        assert!(failures.is_empty(), "{failures:?}");
-
-        // One deterministic counter perturbed by forensics is absolute.
-        let mut failures = Vec::new();
-        check_obs(&mut failures, &baseline, &obs_doc(1, 0, 9, true));
-        assert!(failures.iter().any(|f| f.contains("counter_mismatches")));
-
-        // A malformed metrics exposition is absolute.
-        let mut failures = Vec::new();
-        check_obs(&mut failures, &baseline, &obs_doc(0, 2, 9, true));
-        assert!(failures.iter().any(|f| f.contains("metrics_errors")));
-
-        // The bundle-per-request contract must reproduce exactly.
-        let mut failures = Vec::new();
-        check_obs(&mut failures, &baseline, &obs_doc(0, 0, 8, true));
-        assert!(failures.iter().any(|f| f.contains("bundles_written")));
-
-        let mut failures = Vec::new();
-        check_obs(&mut failures, &baseline, &obs_doc(0, 0, 9, false));
-        assert!(failures.iter().any(|f| f.contains("own gates")));
-    }
-
-    fn aig_doc(mismatches: u64, cones: u64, warm_all: bool, gates_pass: bool) -> Json {
-        Json::parse(&format!(
-            "{{\"scale\": \"Quick\", \"total_ands\": 1326, \"largest_fixture_ands\": 1100, \
-             \"total_cones\": {cones}, \"unique_cones\": 80, \
-             \"total_mismatches\": {mismatches}, \"warm_all_hits\": {warm_all}, \
-             \"gates_pass\": {gates_pass}, \"fixtures\": [{{\"name\": \"c17.bench\", \
-             \"ands\": 6, \"cones\": 2, \"covered_ands\": 7, \"max_leaves\": 4, \
-             \"logic_elements\": 2, \"registers\": 0, \"cold_wall_ms\": 120.0, \
-             \"warm_wall_ms\": 4.0}}]}}"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn aig_rule_is_zero_tolerance_on_stitch_identity_and_cone_accounting() {
-        let baseline = aig_doc(0, 400, true, true);
-        // Identical counters pass, no matter how the (ungated) wall time moved.
-        let mut failures = Vec::new();
-        check_aig(&mut failures, &baseline, &aig_doc(0, 400, true, true));
-        assert!(failures.is_empty(), "{failures:?}");
-
-        // A single stitched-verification mismatch is absolute.
-        let mut failures = Vec::new();
-        check_aig(&mut failures, &baseline, &aig_doc(1, 400, true, true));
-        assert!(failures.iter().any(|f| f.contains("total_mismatches")));
-
-        // A warm cone that missed the cache is absolute.
-        let mut failures = Vec::new();
-        check_aig(&mut failures, &baseline, &aig_doc(0, 400, false, true));
-        assert!(failures.iter().any(|f| f.contains("warm cone")));
-
-        // The partitioner is deterministic: cone counts must reproduce exactly.
-        let mut failures = Vec::new();
-        check_aig(&mut failures, &baseline, &aig_doc(0, 401, true, true));
-        assert!(failures.iter().any(|f| f.contains("total_cones")));
-
-        let mut failures = Vec::new();
-        check_aig(&mut failures, &baseline, &aig_doc(0, 400, true, false));
-        assert!(failures.iter().any(|f| f.contains("own gates")));
-    }
-
-    #[test]
-    fn scale_mismatch_is_reported_not_compared() {
-        let quick = Json::parse(&sat_doc(10, 10, true)).unwrap();
-        let full = Json::parse(&sat_doc(10, 10, true).replace("Quick", "Full")).unwrap();
-        let mut failures = Vec::new();
-        check_sat(&mut failures, &quick, &full);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("scale mismatch"));
+    fn invariant_rule_fails_when_false() {
+        let baseline = record(400, 1000, 1.0, true);
+        let failures = gate(&baseline, &record(400, 1000, 1.0, false));
+        assert!(failures.iter().any(|f| f.contains("invariants.gates_pass")), "{failures:?}");
+        // An invariant only the fresh record carries must hold as well.
+        let mut fresh = record(400, 1000, 1.0, true);
+        section(&mut fresh, "invariants").insert("lost_is_zero".into(), Json::Bool(true));
+        assert!(gate(&baseline, &fresh).is_empty());
+        section(&mut fresh, "invariants").insert("lost_is_zero".into(), Json::Bool(false));
+        assert!(gate(&baseline, &fresh).iter().any(|f| f.contains("invariants.lost_is_zero")));
     }
 
     #[test]
     fn wall_clock_fields_are_never_gated() {
-        // A fresh record that is 100x slower but otherwise identical passes.
-        let baseline = Json::parse(
-            "{\"scale\": \"Quick\", \"total_wall_ms_incremental\": 100.0, \
-             \"total_wall_ms_from_scratch\": 200.0, \"speedup\": 2.0, \"benchmarks\": []}",
-        )
-        .unwrap();
-        let slow = Json::parse(
-            "{\"scale\": \"Quick\", \"total_wall_ms_incremental\": 10000.0, \
-             \"total_wall_ms_from_scratch\": 10000.0, \"speedup\": 1.0, \"benchmarks\": []}",
-        )
-        .unwrap();
-        let mut failures = Vec::new();
-        check_cegis(&mut failures, &baseline, &slow);
-        assert!(failures.is_empty(), "{failures:?}");
+        // The recorded section is free to move, grow, shrink or vanish.
+        let baseline = record(400, 1000, 1.0, true);
+        let mut fresh = record(400, 1000, 1.0, true);
+        *field(&mut fresh, "recorded", "wall_ms") = Json::num(1e9);
+        assert!(gate(&baseline, &fresh).is_empty());
+        remove(&mut fresh, "recorded", "rows");
+        assert!(gate(&baseline, &fresh).is_empty());
+    }
+
+    #[test]
+    fn a_missing_gated_key_fails_in_every_section() {
+        let baseline = record(400, 1000, 1.0, true);
+        for (section, key) in [
+            ("exact", "cones"),
+            ("at_most", "conflicts"),
+            ("at_least", "hit_rate"),
+            ("invariants", "gates_pass"),
+        ] {
+            let mut fresh = baseline.clone();
+            remove(&mut fresh, section, key);
+            let failures = gate(&baseline, &fresh);
+            assert_eq!(failures.len(), 1, "{section}.{key}: {failures:?}");
+            assert!(failures[0].contains(&format!("{section}.{key} is missing")), "{failures:?}");
+        }
+    }
+
+    #[test]
+    fn fields_are_judged_by_their_baseline_section() {
+        // Demoting a gated counter to `recorded` in the fresh record does not
+        // demote its rule.
+        let baseline = record(400, 1000, 1.0, true);
+        let mut fresh = baseline.clone();
+        remove(&mut fresh, "exact", "cones");
+        section(&mut fresh, "recorded").insert("cones".into(), Json::num(400));
+        assert!(gate(&baseline, &fresh).iter().any(|f| f.contains("exact.cones is missing")));
+    }
+
+    #[test]
+    fn scale_mismatch_is_reported_not_compared() {
+        let quick = record(400, 1000, 1.0, true);
+        let Json::Obj(mut root) = record(1, 1_000_000, 0.0, false) else { unreachable!() };
+        root.insert("scale".into(), Json::str("Full"));
+        let failures = gate(&quick, &Json::Obj(root));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("scale mismatch"));
+    }
+
+    #[test]
+    fn a_baseline_without_sections_gates_nothing_and_fails() {
+        // A flat record in the pre-section layout must not pass vacuously.
+        let flat = Json::parse("{\"scale\": \"Quick\", \"gates_pass\": true}").unwrap();
+        let failures = gate(&flat, &record(400, 1000, 1.0, true));
+        assert_eq!(failures, ["BENCH_x.json: baseline is not a bench record"]);
+    }
+
+    /// Every field the per-file rules gated before records had sections, as
+    /// (record, the rule it had, the fields that now carry it). Sums and
+    /// tallies the old rules computed from row arrays are precomputed fields;
+    /// `x == 0` checks are `x_is_zero` invariants.
+    const PARENT_RULES: &[(&str, Section, &str)] = &[
+        ("aig", Invariants, "gates_pass total_mismatches_is_zero warm_all_hits"),
+        ("aig", Exact, "total_ands largest_fixture_ands total_cones unique_cones"),
+        ("aig", Exact, "fixtures_covered_ands fixtures_max_leaves"),
+        ("aig", Exact, "fixtures_logic_elements fixtures_registers"),
+        ("cegis", AtMost, "incremental_conflicts incremental_iterations"),
+        ("cegis", AtMost, "from_scratch_conflicts from_scratch_iterations"),
+        ("cegis", Exact, "incremental_success incremental_unsat incremental_timeout"),
+        ("cegis", Exact, "from_scratch_success from_scratch_unsat from_scratch_timeout"),
+        ("daemon", Invariants, "gates_pass lost_is_zero rejected_is_zero"),
+        ("daemon", Exact, "accepted completed warm_served warm_hits cold_misses"),
+        ("egraph", Invariants, "all_monsters_fold"),
+        ("egraph", AtLeast, "egraph_folds"),
+        ("fuzz", Invariants, "gates_pass mismatch_count_is_zero"),
+        ("fuzz", Exact, "seeds_run parse_ok elaborate_ok roundtrip_ok"),
+        ("obs", Invariants, "gates_pass counter_mismatches_is_zero"),
+        ("obs", Invariants, "metrics_errors_is_zero lost_is_zero"),
+        ("obs", Exact, "accepted completed bundles_written records_retrieved"),
+        ("sat", Invariants, "gates_pass"),
+        ("sat", AtMost, "total_conflicts_modern total_propagations_modern"),
+        ("serve", Invariants, "gates_pass"),
+        ("serve", AtLeast, "warm_hit_rate"),
+        ("trace", Invariants, "gates_pass counter_mismatches_is_zero traced_events_nonzero"),
+        ("trace", AtMost, "conflicts iterations"),
+    ];
+
+    /// Whether a field in `found` is gated at least as strictly as `required`:
+    /// the same section, or `exact` where a one-sided bound was required.
+    fn at_least_as_strict(found: Section, required: Section) -> bool {
+        found == required || (found == Exact && matches!(required, AtMost | AtLeast))
+    }
+
+    /// Checks the committed `BENCH_<record>.json` against [`PARENT_RULES`]:
+    /// each field sits in a section at least as strict as its old rule,
+    /// breaking the rule or dropping the field fails the gate, and no
+    /// `recorded` field — wall clocks, latencies, overheads, timing-dependent
+    /// tallies — is gated.
+    fn assert_parent_rules_hold(record: &str) {
+        let file = &format!("BENCH_{record}.json");
+        let baseline = committed(file);
+        assert!(
+            compare(file, &baseline, &baseline).is_empty(),
+            "{file} must gate clean against itself"
+        );
+        let rules = PARENT_RULES.iter().filter(|(name, ..)| *name == record);
+        let keys = rules.flat_map(|&(_, rule, keys)| keys.split(' ').map(move |k| (k, rule)));
+        let mut checked = 0;
+        for (key, required) in keys {
+            checked += 1;
+            let found = Section::ALL
+                .into_iter()
+                .find(|s| baseline.get(&[s.key(), key]).is_some())
+                .unwrap_or_else(|| panic!("{file}: {key} was dropped"));
+            assert!(
+                at_least_as_strict(found, required),
+                "{file}: {key} moved from {} to the weaker {}",
+                required.key(),
+                found.key()
+            );
+            let mut broken = baseline.clone();
+            let value = field(&mut broken, found.key(), key);
+            *value = match required {
+                Invariants => Json::Bool(false),
+                AtLeast => Json::num(value.as_f64().unwrap() - 1.0),
+                _ => Json::num(value.as_f64().unwrap() * 2.0 + 1000.0),
+            };
+            assert!(!compare(file, &baseline, &broken).is_empty(), "{file}: broken {key} passed");
+            let mut dropped = baseline.clone();
+            remove(&mut dropped, found.key(), key);
+            assert!(!compare(file, &baseline, &dropped).is_empty(), "{file}: dropped {key} passed");
+        }
+        assert!(checked > 0, "{file} has no parent rules");
+        let mut moved = baseline.clone();
+        for value in section(&mut moved, "recorded").values_mut() {
+            if let Some(n) = value.as_f64() {
+                *value = Json::num(n * 100.0 + 1.0);
+            }
+        }
+        assert!(compare(file, &baseline, &moved).is_empty(), "{file}: a recorded field is gated");
+    }
+
+    #[test]
+    fn aig_rule_is_zero_tolerance_on_stitch_identity_and_cone_accounting() {
+        assert_parent_rules_hold("aig");
+    }
+
+    #[test]
+    fn cegis_rule_compares_per_mode_sums_and_verdicts() {
+        assert_parent_rules_hold("cegis");
+    }
+
+    #[test]
+    fn daemon_rule_pins_accounting_exactly_and_ignores_latency() {
+        assert_parent_rules_hold("daemon");
+    }
+
+    #[test]
+    fn egraph_rule_keeps_every_monster_folding_and_the_fold_count() {
+        assert_parent_rules_hold("egraph");
+    }
+
+    #[test]
+    fn fuzz_rule_is_zero_tolerance_on_mismatches_and_ignores_map_tallies() {
+        assert_parent_rules_hold("fuzz");
+    }
+
+    #[test]
+    fn obs_rule_is_zero_tolerance_on_identity_and_exposition() {
+        assert_parent_rules_hold("obs");
+    }
+
+    #[test]
+    fn sat_rule_fails_on_conflict_regression_and_passes_within_tolerance() {
+        assert_parent_rules_hold("sat");
+    }
+
+    #[test]
+    fn serve_rule_keeps_the_warm_hit_rate() {
+        assert_parent_rules_hold("serve");
+    }
+
+    #[test]
+    fn trace_rule_is_zero_tolerance_on_identity_and_ignores_overhead() {
+        assert_parent_rules_hold("trace");
     }
 }

@@ -13,19 +13,22 @@ pub mod egraph;
 pub mod fuzz;
 pub mod gate;
 pub mod obs;
+pub mod record;
 pub mod sat;
 pub mod serve;
 pub mod trace;
 
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lakeroad::report::{proportion_bar, runtime_histogram, summarize_timing, RunClass, Tally};
 use lakeroad::suite::{full_suite, suite_for, Microbenchmark};
-use lakeroad::{MapConfig, MapOutcome, Template};
+use lakeroad::{generate_sketch, pipeline_depth, MapConfig, MapOutcome, Template};
 use lr_arch::{ArchName, Architecture};
 use lr_baselines::{estimate, BaselineTool};
+use lr_ir::Prog;
 use lr_serve::{run_batch, BatchJob, BatchOptions, JobResult, TemplateChoice};
+use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisStats, SynthesisTask};
 
 /// How much of the paper-scale suite to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,6 +334,29 @@ pub fn print_extensibility() {
     println!(
         "  (comparison point from the paper: Yosys's UltraScale+ DSP mapping spans ~1300 lines\n   across a dozen files; proprietary tools span millions of lines of C.)"
     );
+}
+
+/// One DSP-template synthesis of `spec` over the standard two-cycle window —
+/// the measurement every CEGIS-level experiment repeats under its own
+/// `config`. Returns the verdict (`success` / `unsat` / `timeout`), the run's
+/// counters and its wall time in milliseconds; `None` when the template has no
+/// sketch for `spec` or the task is malformed.
+pub fn synthesize_dsp(
+    arch: &Architecture,
+    spec: &Prog,
+    config: &SynthesisConfig,
+) -> Option<(&'static str, SynthesisStats, f64)> {
+    let sketch = generate_sketch(Template::Dsp, arch, spec).ok()?;
+    let task = SynthesisTask::over_window(spec, &sketch, pipeline_depth(spec), 2);
+    let start = Instant::now();
+    let outcome = synthesize(&task, config).ok()?;
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let verdict = match &outcome {
+        SynthesisOutcome::Success(_) => "success",
+        SynthesisOutcome::Unsat { .. } => "unsat",
+        SynthesisOutcome::Timeout { .. } => "timeout",
+    };
+    Some((verdict, outcome.stats().clone(), wall_ms))
 }
 
 /// Runs the full sweep at a scale and returns per-architecture results.

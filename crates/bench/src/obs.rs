@@ -32,10 +32,11 @@ use lakeroad::MapConfig;
 use lr_arch::ArchName;
 use lr_serve::{Daemon, DaemonClient, DaemonConfig, ForensicsConfig, Json};
 
+use crate::daemon::request_payload;
+use crate::record::{gate_result, Field, Record};
 use crate::Scale;
 
-/// Where the machine-readable record is written (repo-relative; CI uploads
-/// this exact path as an artifact, next to the other `BENCH_*.json` files).
+/// Where the bench record is written (repo-relative).
 pub const REPORT_PATH: &str = "BENCH_obs.json";
 
 /// The deterministic counters compared between the forensics-off and
@@ -131,42 +132,32 @@ impl ObsReport {
         failures
     }
 
-    /// Renders the record as a JSON document (dependency-free, stable for CI).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"distinct\": {},\n", self.distinct));
-        out.push_str(&format!("  \"accepted\": {},\n", self.on.accepted));
-        out.push_str(&format!("  \"completed\": {},\n", self.on.completed));
-        out.push_str(&format!("  \"lost\": {},\n", self.lost()));
-        out.push_str(&format!("  \"counter_mismatches\": {},\n", self.mismatches.len()));
-        out.push_str(&format!("  \"bundles_written\": {},\n", self.bundles_written));
-        out.push_str(&format!("  \"bundle_files\": {},\n", self.bundle_files));
-        out.push_str(&format!("  \"records_retrieved\": {},\n", self.records_retrieved));
-        out.push_str(&format!("  \"metrics_errors\": {},\n", self.metrics_errors.len()));
-        out.push_str(&format!("  \"metrics_lines\": {},\n", self.metrics_lines));
-        out.push_str(&format!("  \"off_wall_ms\": {:.3},\n", self.off.wall_ms));
-        out.push_str(&format!("  \"on_wall_ms\": {:.3},\n", self.on.wall_ms));
-        out.push_str("  \"counters\": {\n");
-        let rows: Vec<String> = self
-            .on
-            .counters
-            .iter()
-            .map(|(name, value)| format!("    \"{name}\": {value}"))
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  },\n");
-        out.push_str(&format!("  \"gates_pass\": {}\n", self.gate_failures().is_empty()));
-        out.push_str("}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The bench record: the flight recorder is pure observation, the
+    /// exposition must parse and a graceful drain loses nothing
+    /// (`invariants`); the workload shape, the bundle-per-request contract of
+    /// `--slow-ms 0` and per-id retrieval depend only on the scale (`exact`).
+    /// Wall clocks and the counter snapshot are recorded only.
+    pub fn record(&self) -> Record {
+        let counters =
+            Json::Obj(self.on.counters.iter().map(|(k, v)| (k.to_string(), v.json())).collect());
+        Record::new(self.scale)
+            .invariant("gates_pass", self.gate_failures().is_empty())
+            .invariant("counter_mismatches_is_zero", self.mismatches.is_empty())
+            .invariant("metrics_errors_is_zero", self.metrics_errors.is_empty())
+            .invariant("lost_is_zero", self.lost() == 0)
+            .exact("accepted", self.on.accepted)
+            .exact("completed", self.on.completed)
+            .exact("bundles_written", self.bundles_written)
+            .exact("records_retrieved", self.records_retrieved)
+            .recorded("distinct", self.distinct)
+            .recorded("lost", self.lost())
+            .recorded("counter_mismatches", self.mismatches.len())
+            .recorded("bundle_files", self.bundle_files)
+            .recorded("metrics_errors", self.metrics_errors.len())
+            .recorded("metrics_lines", self.metrics_lines)
+            .recorded("off_wall_ms", self.off.wall_ms)
+            .recorded("on_wall_ms", self.on.wall_ms)
+            .recorded("counters", counters)
     }
 
     /// Prints a human-readable summary.
@@ -282,13 +273,6 @@ pub fn check_openmetrics(text: &str) -> Vec<String> {
 /// The poisoned job's suite bench (outside the cold/warm set, which starts at
 /// width 8 — see [`run_obs_experiment`]).
 const POISON_BENCH: &str = "mul_w18_s0";
-
-fn request_payload(bench: &str, id: u64) -> String {
-    format!(
-        "{{\"kind\":\"map\",\"id\":{id},\"arch\":\"intel\",\"template\":\"dsp\",\
-         \"bench\":\"{bench}\"}}"
-    )
-}
 
 /// Pulls the deterministic counters out of a final `stats` document.
 fn deterministic_counters(stats: &Json) -> CounterMap {
@@ -497,21 +481,13 @@ pub fn run_obs_experiment(scale: Scale) -> ObsReport {
 }
 
 /// Prints the summary, writes [`REPORT_PATH`], and reports gate failures.
+///
+/// # Errors
+/// Returns the joined gate failures.
 pub fn report_and_write(report: &ObsReport) -> Result<(), String> {
     report.print_summary();
-    match report.write_json(REPORT_PATH) {
-        Ok(()) => println!(
-            "wrote {REPORT_PATH} ({} deterministic counters compared)",
-            report.on.counters.len(),
-        ),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
-    let failures = report.gate_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    report.record().save(REPORT_PATH);
+    gate_result(report.gate_failures())
 }
 
 #[cfg(test)]
@@ -578,11 +554,12 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
-        let json = sample_report().to_json();
-        assert!(json.contains("\"gates_pass\": true"));
-        assert!(json.contains("\"counter_mismatches\": 0"));
-        assert!(json.contains("\"sat_conflicts\": 100"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = Json::parse(&sample_report().record().json().render_pretty()).unwrap();
+        assert_eq!(doc.get(&["invariants", "gates_pass"]), Some(&Json::Bool(true)));
+        assert_eq!(doc.get(&["invariants", "counter_mismatches_is_zero"]), Some(&Json::Bool(true)));
+        assert_eq!(doc.get(&["exact", "bundles_written"]).and_then(Json::as_f64), Some(9.0));
+        let conflicts = doc.get(&["recorded", "counters", "sat_conflicts"]).and_then(Json::as_f64);
+        assert_eq!(conflicts, Some(100.0));
     }
 
     #[test]

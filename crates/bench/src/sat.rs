@@ -10,18 +10,16 @@
 //! usable as a CI regression gate: the modernized configuration must not do more
 //! search work than the legacy one on the same tier.
 
-use std::time::Instant;
-
 use lakeroad::suite::Microbenchmark;
-use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::Architecture;
+use lr_serve::Json;
 use lr_smt::SolverConfig;
-use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
+use lr_synth::SynthesisConfig;
 
-use crate::Scale;
+use crate::record::{fields, Record};
+use crate::{synthesize_dsp, Scale};
 
-/// Where the machine-readable comparison record is written (repo-relative; CI
-/// uploads this exact path as an artifact, next to the other `BENCH_*.json`).
+/// Where the bench record is written (repo-relative).
 pub const REPORT_PATH: &str = "BENCH_sat.json";
 
 /// The modernized configuration under test (the workspace default).
@@ -133,64 +131,36 @@ impl SatComparison {
         }
     }
 
-    /// Renders the comparison as a JSON document (no external dependencies; the
-    /// format is stable for CI consumption, like `BENCH_cegis.json`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        for mode in ["modern", "legacy"] {
-            out.push_str(&format!(
-                "  \"total_conflicts_{mode}\": {},\n",
-                self.total_conflicts(mode)
-            ));
-            out.push_str(&format!(
-                "  \"total_propagations_{mode}\": {},\n",
-                self.total_propagations(mode)
-            ));
-            out.push_str(&format!(
-                "  \"total_learnt_literals_{mode}\": {},\n",
-                self.total_learnt_literals(mode)
-            ));
-        }
-        out.push_str(&format!(
-            "  \"total_minimized_literals_modern\": {},\n",
-            self.total("modern", |r| r.minimized_literals)
-        ));
-        out.push_str(&format!("  \"gates_pass\": {},\n", self.gates().is_ok()));
-        out.push_str("  \"benchmarks\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"benchmark\": \"{}\", \"mode\": \"{}\", \
-                 \"verdict\": \"{}\", \"wall_ms\": {:.3}, \"iterations\": {}, \
-                 \"conflicts\": {}, \"propagations\": {}, \"restarts\": {}, \
-                 \"learnt_literals\": {}, \"minimized_literals\": {}, \
-                 \"low_glue_clauses\": {}, \"learnt_clauses\": {}}}{}\n",
-                r.arch,
-                r.benchmark,
-                r.mode,
-                r.verdict,
-                r.wall_ms,
-                r.iterations,
-                r.conflicts,
-                r.propagations,
-                r.restarts,
-                r.learnt_literals,
-                r.minimized_literals,
-                r.low_glue_clauses,
-                r.learnt_clauses,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The bench record: the modern configuration's search work (`at_most`)
+    /// and the experiment's own gates (`invariants`); the legacy totals and
+    /// per-run rows are recorded only.
+    pub fn record(&self) -> Record {
+        let rows: Vec<Json> = self
+            .runs
+            .iter()
+            .map(|r| {
+                fields! {
+                    arch: r.arch, benchmark: r.benchmark, mode: r.mode, verdict: r.verdict,
+                    wall_ms: r.wall_ms, iterations: r.iterations, conflicts: r.conflicts,
+                    propagations: r.propagations, restarts: r.restarts,
+                    learnt_literals: r.learnt_literals, minimized_literals: r.minimized_literals,
+                    low_glue_clauses: r.low_glue_clauses, learnt_clauses: r.learnt_clauses,
+                }
+            })
+            .collect();
+        Record::new(self.scale)
+            .invariant("gates_pass", self.gates().is_ok())
+            .at_most("total_conflicts_modern", self.total_conflicts("modern"))
+            .at_most("total_propagations_modern", self.total_propagations("modern"))
+            .recorded("total_learnt_literals_modern", self.total_learnt_literals("modern"))
+            .recorded(
+                "total_minimized_literals_modern",
+                self.total("modern", |r| r.minimized_literals),
+            )
+            .recorded("total_conflicts_legacy", self.total_conflicts("legacy"))
+            .recorded("total_propagations_legacy", self.total_propagations("legacy"))
+            .recorded("total_learnt_literals_legacy", self.total_learnt_literals("legacy"))
+            .recorded("benchmarks", rows)
     }
 
     /// Prints a human-readable summary table.
@@ -247,23 +217,12 @@ fn run_one(
     mode: &'static str,
     solver: SolverConfig,
 ) -> Option<SatRun> {
-    let spec = bench.build();
-    let sketch = generate_sketch(Template::Dsp, arch, &spec).ok()?;
-    let t = pipeline_depth(&spec);
-    let task = SynthesisTask::over_window(&spec, &sketch, t, 2);
     let config = SynthesisConfig {
         solver,
         timeout: Some(scale.timeout(arch.name())),
         ..SynthesisConfig::default()
     };
-    let start = Instant::now();
-    let outcome = synthesize(&task, &config).ok()?;
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let (verdict, stats) = match &outcome {
-        SynthesisOutcome::Success(s) => ("success", &s.stats),
-        SynthesisOutcome::Unsat { stats } => ("unsat", stats),
-        SynthesisOutcome::Timeout { stats } => ("timeout", stats),
-    };
+    let (verdict, stats, wall_ms) = synthesize_dsp(arch, &bench.build(), &config)?;
     Some(SatRun {
         arch: arch.name().to_string(),
         benchmark: bench.name.clone(),
@@ -312,10 +271,7 @@ pub fn run_sat_comparison(scale: Scale) -> SatComparison {
 /// Returns the gate-failure description when a gate fails.
 pub fn report_and_write(comparison: &SatComparison) -> Result<(), String> {
     comparison.print_summary();
-    match comparison.write_json(REPORT_PATH) {
-        Ok(()) => println!("wrote {REPORT_PATH} ({} runs)", comparison.runs.len()),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
+    comparison.record().save(REPORT_PATH);
     comparison.gates()
 }
 
@@ -385,12 +341,13 @@ mod tests {
             scale: Scale::Quick,
             runs: vec![run("modern", "b", 10, 500), run("legacy", "b", 20, 1000)],
         };
-        let json = cmp.to_json();
-        assert!(json.contains("\"total_conflicts_modern\": 10"));
-        assert!(json.contains("\"total_conflicts_legacy\": 20"));
-        assert!(json.contains("\"total_propagations_modern\": 500"));
-        assert!(json.contains("\"gates_pass\": true"));
-        assert_eq!(json.matches("},").count(), 1);
+        let doc = Json::parse(&cmp.record().json().render_pretty()).unwrap();
+        let get = |path: &[&str]| doc.get(path).and_then(Json::as_f64);
+        assert_eq!(get(&["at_most", "total_conflicts_modern"]), Some(10.0));
+        assert_eq!(get(&["at_most", "total_propagations_modern"]), Some(500.0));
+        assert_eq!(get(&["recorded", "total_conflicts_legacy"]), Some(20.0));
+        assert_eq!(doc.get(&["invariants", "gates_pass"]), Some(&Json::Bool(true)));
+        assert_eq!(doc.get(&["recorded", "benchmarks"]).and_then(Json::as_arr).unwrap().len(), 2);
     }
 
     #[test]

@@ -26,13 +26,13 @@ use lakeroad::{MapConfig, MapOutcome};
 use lr_arch::ArchName;
 use lr_serve::{
     fuzz_jobs, grinder_jobs, netlist_jobs, run_batch, suite_jobs, BatchJob, BatchOptions,
-    BatchReport, BatchRun, CacheSnapshot, JobResult, SynthCache,
+    BatchReport, BatchRun, CacheSnapshot, JobResult, Json, SynthCache,
 };
 
+use crate::record::{fields, gate_result, Record};
 use crate::Scale;
 
-/// Where the machine-readable record is written (repo-relative; CI uploads this
-/// exact path as an artifact, next to `BENCH_cegis.json` and `BENCH_egraph.json`).
+/// Where the bench record is written (repo-relative).
 pub const REPORT_PATH: &str = "BENCH_serve.json";
 
 /// One point of the scaling curve: the mixed batch at one worker count.
@@ -177,61 +177,38 @@ impl ServeReport {
         failures
     }
 
-    /// Renders the record as a JSON document (dependency-free, like the other
-    /// `BENCH_*.json` writers; the format is stable for CI consumption).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"scaling_jobs\": {},\n", self.scaling_jobs));
-        out.push_str(&format!(
-            "  \"speedup_4_workers_vs_1\": {:.3},\n",
-            self.speedup_4v1().unwrap_or(0.0)
-        ));
-        out.push_str(&format!("  \"warm_hit_rate\": {:.4},\n", self.warm_hit_rate()));
-        out.push_str(&format!("  \"gates_pass\": {},\n", self.gate_failures().is_empty()));
-        out.push_str("  \"scaling\": [\n");
-        for (i, r) in self.scaling.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workers\": {}, \"wall_ms\": {:.3}, \"throughput_jobs_per_s\": {:.3}, \
-                 \"successes\": {}, \"unsats\": {}, \"timeouts\": {}, \"errors\": {}, \
-                 \"steals\": {}}}{}\n",
-                r.workers,
-                r.wall_ms,
-                r.throughput,
-                r.successes,
-                r.unsats,
-                r.timeouts,
-                r.errors,
-                r.steals,
-                if i + 1 < self.scaling.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n  \"cache\": [\n");
-        for (i, p) in [&self.cold, &self.warm].into_iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"wall_ms\": {:.3}, \"hits\": {}, \"misses\": {}, \
-                 \"stores\": {}, \"invalidations\": {}, \"served\": {}, \"verdicts\": \"{}\"}}{}\n",
-                p.label,
-                p.wall_ms,
-                p.cache.hits,
-                p.cache.misses,
-                p.cache.stores,
-                p.cache.invalidations,
-                p.served,
-                p.verdicts,
-                if i == 0 { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The bench record: the experiment's own gates (`invariants`) and the
+    /// warm hit rate (`at_least`); the scaling curve and the cache phases are
+    /// timing-dependent and recorded only.
+    pub fn record(&self) -> Record {
+        let scaling: Vec<Json> = self
+            .scaling
+            .iter()
+            .map(|r| {
+                fields! {
+                    workers: r.workers, wall_ms: r.wall_ms, throughput_jobs_per_s: r.throughput,
+                    successes: r.successes, unsats: r.unsats, timeouts: r.timeouts,
+                    errors: r.errors, steals: r.steals,
+                }
+            })
+            .collect();
+        let cache: Vec<Json> = [&self.cold, &self.warm]
+            .into_iter()
+            .map(|p| {
+                fields! {
+                    phase: p.label, wall_ms: p.wall_ms, hits: p.cache.hits,
+                    misses: p.cache.misses, stores: p.cache.stores,
+                    invalidations: p.cache.invalidations, served: p.served, verdicts: p.verdicts,
+                }
+            })
+            .collect();
+        Record::new(self.scale)
+            .invariant("gates_pass", self.gate_failures().is_empty())
+            .at_least("warm_hit_rate", self.warm_hit_rate())
+            .recorded("scaling_jobs", self.scaling_jobs)
+            .recorded("speedup_4_workers_vs_1", self.speedup_4v1().unwrap_or(0.0))
+            .recorded("scaling", scaling)
+            .recorded("cache", cache)
     }
 
     /// Prints a human-readable summary.
@@ -356,22 +333,13 @@ pub fn run_serve_experiment(scale: Scale) -> ServeReport {
 }
 
 /// Prints the summary, writes [`REPORT_PATH`], and reports gate failures.
+///
+/// # Errors
+/// Returns the joined gate failures.
 pub fn report_and_write(report: &ServeReport) -> Result<(), String> {
     report.print_summary();
-    match report.write_json(REPORT_PATH) {
-        Ok(()) => println!(
-            "wrote {REPORT_PATH} ({} scaling points, {} cache-phase jobs)",
-            report.scaling.len(),
-            report.cold.verdicts.len(),
-        ),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
-    let failures = report.gate_failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    report.record().save(REPORT_PATH);
+    gate_result(report.gate_failures())
 }
 
 #[cfg(test)]
@@ -463,11 +431,10 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
-        let report = sample_report();
-        let json = report.to_json();
-        assert!(json.contains("\"gates_pass\": true"));
-        assert!(json.contains("\"warm_hit_rate\": 1.0000"));
-        assert!(json.contains("\"workers\": 4"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = Json::parse(&sample_report().record().json().render_pretty()).unwrap();
+        assert_eq!(doc.get(&["invariants", "gates_pass"]), Some(&Json::Bool(true)));
+        assert_eq!(doc.get(&["at_least", "warm_hit_rate"]).and_then(Json::as_f64), Some(1.0));
+        let scaling = doc.get(&["recorded", "scaling"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(scaling[1].get(&["workers"]).and_then(Json::as_f64), Some(4.0));
     }
 }

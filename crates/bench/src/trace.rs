@@ -15,18 +15,16 @@
 //! means the instrumentation quietly rotted, which is its own regression.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use lakeroad::suite::Microbenchmark;
-use lakeroad::{generate_sketch, pipeline_depth, Template};
 use lr_arch::Architecture;
-use lr_synth::{synthesize, SynthesisConfig, SynthesisOutcome, SynthesisTask};
+use lr_serve::Json;
+use lr_synth::SynthesisConfig;
 
-use crate::Scale;
+use crate::record::{fields, Record};
+use crate::{synthesize_dsp, Scale};
 
-/// Where the machine-readable record is written (repo-relative; CI uploads this
-/// exact path as an artifact and `bench_gate` compares it against the committed
-/// baseline).
+/// Where the bench record is written (repo-relative).
 pub const REPORT_PATH: &str = "BENCH_trace.json";
 
 /// Span names the traced pass must emit at least once over the sweep. These are
@@ -121,54 +119,38 @@ impl TraceComparison {
             && self.missing_spans.is_empty()
     }
 
-    /// Renders the record as a JSON document (no external dependencies; the
-    /// format is stable for CI and `bench_gate` consumption).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"scale\": \"{:?}\",\n", self.scale));
-        out.push_str(&format!("  \"untraced_total_ms\": {:.3},\n", self.total_ms(false)));
-        out.push_str(&format!("  \"traced_total_ms\": {:.3},\n", self.total_ms(true)));
-        out.push_str(&format!("  \"overhead_ratio\": {:.4},\n", self.overhead_ratio()));
-        out.push_str(&format!("  \"traced_events\": {},\n", self.traced_events));
-        out.push_str(&format!("  \"dropped_events\": {},\n", self.dropped_events));
-        out.push_str(&format!("  \"counter_mismatches\": {},\n", self.counter_mismatches()));
-        out.push_str("  \"missing_spans\": [");
-        for (i, name) in self.missing_spans.iter().enumerate() {
-            out.push_str(&format!("{}\"{name}\"", if i > 0 { ", " } else { "" }));
-        }
-        out.push_str("],\n");
-        out.push_str(&format!("  \"gates_pass\": {},\n", self.gates_pass()));
-        out.push_str("  \"benchmarks\": [\n");
-        for (i, r) in self.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arch\": \"{}\", \"benchmark\": \"{}\", \"verdict\": \"{}\", \
-                 \"iterations\": {}, \"examples\": {}, \"conflicts\": {}, \
-                 \"propagations\": {}, \"constraints_encoded\": {}, \"identical\": {}, \
-                 \"untraced_wall_ms\": {:.3}, \"traced_wall_ms\": {:.3}}}{}\n",
-                r.arch,
-                r.benchmark,
-                r.untraced.verdict,
-                r.untraced.iterations,
-                r.untraced.examples,
-                r.untraced.conflicts,
-                r.untraced.propagations,
-                r.untraced.constraints_encoded,
-                r.identical(),
-                r.untraced_wall_ms,
-                r.traced_wall_ms,
-                if i + 1 < self.runs.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON record to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    /// The bench record: tracing must not perturb a counter and must record
+    /// spans (`invariants`); the sweep's search work is `at_most`. Overhead
+    /// and wall times are recorded only.
+    pub fn record(&self) -> Record {
+        let rows: Vec<Json> = self
+            .runs
+            .iter()
+            .map(|r| {
+                let u = &r.untraced;
+                fields! {
+                    arch: r.arch, benchmark: r.benchmark, verdict: u.verdict,
+                    iterations: u.iterations, examples: u.examples, conflicts: u.conflicts,
+                    propagations: u.propagations, constraints_encoded: u.constraints_encoded,
+                    identical: r.identical(), untraced_wall_ms: r.untraced_wall_ms,
+                    traced_wall_ms: r.traced_wall_ms,
+                }
+            })
+            .collect();
+        Record::new(self.scale)
+            .invariant("gates_pass", self.gates_pass())
+            .invariant("counter_mismatches_is_zero", self.counter_mismatches() == 0)
+            .invariant("traced_events_nonzero", self.traced_events > 0)
+            .at_most("conflicts", self.runs.iter().map(|r| r.untraced.conflicts).sum::<u64>())
+            .at_most("iterations", self.runs.iter().map(|r| r.untraced.iterations).sum::<usize>())
+            .recorded("untraced_total_ms", self.total_ms(false))
+            .recorded("traced_total_ms", self.total_ms(true))
+            .recorded("overhead_ratio", self.overhead_ratio())
+            .recorded("traced_events", self.traced_events)
+            .recorded("dropped_events", self.dropped_events)
+            .recorded("counter_mismatches", self.counter_mismatches())
+            .recorded("missing_spans", self.missing_spans.clone())
+            .recorded("benchmarks", rows)
     }
 
     /// Prints a human-readable summary.
@@ -204,29 +186,14 @@ impl TraceComparison {
 /// `exp_trace` driver.
 pub fn report_and_write(comparison: &TraceComparison) {
     comparison.print_summary();
-    match comparison.write_json(REPORT_PATH) {
-        Ok(()) => println!("wrote {REPORT_PATH} ({} benchmarks)", comparison.runs.len()),
-        Err(e) => eprintln!("failed to write {REPORT_PATH}: {e}"),
-    }
+    comparison.record().save(REPORT_PATH);
 }
 
 fn run_one(arch: &Architecture, bench: &Microbenchmark) -> Option<(TraceProbe, f64)> {
-    let spec = bench.build();
-    let sketch = generate_sketch(Template::Dsp, arch, &spec).ok()?;
-    let t = pipeline_depth(&spec);
-    let task = SynthesisTask::over_window(&spec, &sketch, t, 2);
     // No timeout: the identity gate needs counters that depend only on the
     // seed, never on the clock. The default iteration cap still bounds the run.
     let config = SynthesisConfig { timeout: None, ..SynthesisConfig::default() };
-    let start = Instant::now();
-    let outcome = synthesize(&task, &config).ok()?;
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let verdict = match &outcome {
-        SynthesisOutcome::Success(_) => "success",
-        SynthesisOutcome::Unsat { .. } => "unsat",
-        SynthesisOutcome::Timeout { .. } => "timeout",
-    };
-    let stats = outcome.stats();
+    let (verdict, stats, wall_ms) = synthesize_dsp(arch, &bench.build(), &config)?;
     Some((
         TraceProbe {
             verdict,
@@ -341,14 +308,15 @@ mod tests {
 
     #[test]
     fn json_record_is_well_formed() {
-        let json = comparison(34, 120).to_json();
-        assert!(json.contains("\"counter_mismatches\": 0"));
-        assert!(json.contains("\"overhead_ratio\": 1.1000"));
-        assert!(json.contains("\"gates_pass\": true"));
-        assert!(json.contains("\"identical\": true"));
-        assert!(json.contains("\"missing_spans\": []"));
-        // The gate's mini parser must accept the record verbatim.
-        crate::gate::Json::parse(&json).unwrap();
+        let doc = Json::parse(&comparison(34, 120).record().json().render_pretty()).unwrap();
+        let get = |path: &[&str]| doc.get(path).and_then(Json::as_f64);
+        assert_eq!(doc.get(&["invariants", "counter_mismatches_is_zero"]), Some(&Json::Bool(true)));
+        assert_eq!(doc.get(&["invariants", "traced_events_nonzero"]), Some(&Json::Bool(true)));
+        assert_eq!(get(&["at_most", "conflicts"]), Some(34.0));
+        assert_eq!(get(&["recorded", "overhead_ratio"]), Some(1.1));
+        assert_eq!(doc.get(&["recorded", "missing_spans"]), Some(&Json::Arr(Vec::new())));
+        let rows = doc.get(&["recorded", "benchmarks"]).and_then(Json::as_arr).unwrap();
+        assert_eq!(rows[0].get(&["identical"]), Some(&Json::Bool(true)));
     }
 
     #[test]

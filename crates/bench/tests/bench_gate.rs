@@ -17,9 +17,11 @@ fn write_sat_record(dir: &Path, conflicts: u64, propagations: u64, gates_pass: b
     std::fs::write(
         dir.join("BENCH_sat.json"),
         format!(
-            "{{\"scale\": \"Quick\", \"total_conflicts_modern\": {conflicts}, \
-             \"total_propagations_modern\": {propagations}, \
-             \"gates_pass\": {gates_pass}, \"benchmarks\": []}}"
+            "{{\"scale\": \"Quick\", \"exact\": {{}}, \"at_most\": \
+             {{\"total_conflicts_modern\": {conflicts}, \
+             \"total_propagations_modern\": {propagations}}}, \"at_least\": {{}}, \
+             \"invariants\": {{\"gates_pass\": {gates_pass}}}, \
+             \"recorded\": {{\"benchmarks\": []}}}}"
         ),
     )
     .unwrap();
@@ -28,7 +30,11 @@ fn write_sat_record(dir: &Path, conflicts: u64, propagations: u64, gates_pass: b
 fn write_serve_record(dir: &Path, warm_hit_rate: f64, gates_pass: bool) {
     std::fs::write(
         dir.join("BENCH_serve.json"),
-        format!("{{\"scale\": \"Quick\", \"warm_hit_rate\": {warm_hit_rate}, \"gates_pass\": {gates_pass}}}"),
+        format!(
+            "{{\"scale\": \"Quick\", \"exact\": {{}}, \"at_most\": {{}}, \
+             \"at_least\": {{\"warm_hit_rate\": {warm_hit_rate}}}, \
+             \"invariants\": {{\"gates_pass\": {gates_pass}}}, \"recorded\": {{}}}}"
+        ),
     )
     .unwrap();
 }
@@ -94,7 +100,14 @@ fn gate_fails_when_an_embedded_gate_flag_flips() {
     write_serve_record(&fresh, 0.5, true); // warm hit rate collapsed
     let output = run_gate_binary(&baseline, &fresh);
     assert!(!output.status.success());
-    assert!(String::from_utf8_lossy(&output.stderr).contains("warm cache hit rate"));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("at_least.warm_hit_rate regressed"), "stderr: {stderr}");
+
+    // The experiment's own gate flag is an invariant: false fails on its own.
+    write_serve_record(&fresh, 1.0, false);
+    let output = run_gate_binary(&baseline, &fresh);
+    assert!(!output.status.success());
+    assert!(String::from_utf8_lossy(&output.stderr).contains("invariants.gates_pass"));
 }
 
 #[test]

@@ -9,6 +9,9 @@
 //! The representation is a little-endian vector of 64-bit limbs with all bits above
 //! `width` kept at zero (a maintained invariant checked in debug builds).
 //!
+//! The crate also holds [`Rng`], the seeded generator behind the HDL fuzzer, the batch
+//! scenarios and the random-AIG generator.
+//!
 //! ```
 //! use lr_bv::BitVec;
 //!
@@ -21,8 +24,10 @@
 
 mod format;
 mod ops;
+mod rng;
 
 pub use format::ParseBitVecError;
+pub use rng::Rng;
 
 /// A fixed-width bitvector value.
 ///

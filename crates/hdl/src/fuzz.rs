@@ -24,54 +24,12 @@
 //! source, so any failing seed is a one-line reproducer. Counterexamples this
 //! firehose shakes out are frozen as named fixtures under `tests/fixtures/`.
 
-use lr_bv::BitVec;
+use lr_bv::{BitVec, Rng};
 use lr_ir::{Prog, StreamInputs};
 
 use crate::elaborate::elaborate;
 use crate::emit::emit_verilog;
 use crate::parser::parse_module;
-
-/// xorshift64* generator, the same dependency-free idiom as
-/// `lr_serve::scenario::Rng` (this crate sits below `lr_serve`, so the type is
-/// duplicated rather than imported).
-#[derive(Debug, Clone)]
-pub struct FuzzRng {
-    state: u64,
-}
-
-impl FuzzRng {
-    /// Creates a generator from a seed (zero is remapped to a fixed odd constant).
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        Self { state: if seed == 0 { 0x9E37_79B9_7F4A_7C15 } else { seed } }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut s = self.state;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.state = s;
-        s.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform value in `0..bound` via a widening multiply (no modulo bias).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
-    }
-
-    /// Uniform value in `lo..=hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo + 1)
-    }
-
-    /// True with probability `percent`/100.
-    pub fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
 
 /// A signal visible to the expression generator.
 #[derive(Debug, Clone)]
@@ -89,7 +47,7 @@ fn mask(width: u32) -> u64 {
 }
 
 /// Widths biased toward the narrow end but covering the full 1..=64 range.
-fn pick_width(rng: &mut FuzzRng) -> u32 {
+fn pick_width(rng: &mut Rng) -> u32 {
     match rng.below(10) {
         0..=4 => rng.range(1, 8) as u32,
         5..=7 => rng.range(9, 16) as u32,
@@ -98,7 +56,7 @@ fn pick_width(rng: &mut FuzzRng) -> u32 {
 }
 
 /// A random literal that fits its stated width (the parser rejects overflow).
-fn gen_literal(rng: &mut FuzzRng) -> (String, u32) {
+fn gen_literal(rng: &mut Rng) -> (String, u32) {
     if rng.chance(15) {
         // Unsized decimal: 32 bits in the subset.
         return (format!("{}", rng.below(1024)), 32);
@@ -117,8 +75,8 @@ fn gen_literal(rng: &mut FuzzRng) -> (String, u32) {
 /// elaborator will compute for it (bottom-up subset rules: arithmetic/bitwise
 /// take the max operand width, shifts keep the left operand's width,
 /// comparisons and reductions are 1 bit, concats sum).
-fn gen_expr(rng: &mut FuzzRng, avail: &[Sig], depth: u32) -> (String, u32) {
-    let leaf = |rng: &mut FuzzRng| -> (String, u32) {
+fn gen_expr(rng: &mut Rng, avail: &[Sig], depth: u32) -> (String, u32) {
+    let leaf = |rng: &mut Rng| -> (String, u32) {
         if rng.chance(55) {
             let s = &avail[rng.below(avail.len() as u64) as usize];
             (s.name.clone(), s.width)
@@ -227,7 +185,7 @@ fn decl(kind: &str, sig: &Sig) -> String {
 /// order constraints (combinational use-before-def) hold by construction.
 #[must_use]
 pub fn generate_module(seed: u64) -> String {
-    let mut rng = FuzzRng::new(seed);
+    let mut rng = Rng::new(seed);
     let n_inputs = rng.range(2, 4);
     let inputs: Vec<Sig> =
         (0..n_inputs).map(|k| Sig { name: format!("i{k}"), width: pick_width(&mut rng) }).collect();
@@ -327,7 +285,7 @@ pub fn interp_equivalent(
     last_cycle: u32,
 ) -> Result<(), String> {
     let vars = spec.free_vars();
-    let mut rng = FuzzRng::new(seed ^ 0xD1FF_F00D_5EED_5EED);
+    let mut rng = Rng::new(seed ^ 0xD1FF_F00D_5EED_5EED);
     for round in 0..envs {
         let env = StreamInputs::from_constants(vars.iter().map(|(name, width)| {
             (name.clone(), BitVec::from_u64(rng.next_u64() & mask(*width), *width))
@@ -452,7 +410,7 @@ mod tests {
 
     #[test]
     fn below_is_unbiased_and_in_range() {
-        let mut rng = FuzzRng::new(99);
+        let mut rng = Rng::new(99);
         let mut counts = [0u32; 3];
         for _ in 0..3000 {
             let v = rng.below(3);
@@ -467,7 +425,7 @@ mod tests {
 
     #[test]
     fn zero_seed_is_remapped() {
-        assert_ne!(FuzzRng::new(0).next_u64(), 0);
+        assert_ne!(Rng::new(0).next_u64(), 0);
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod parser;
 pub use ast::{Expr, ModuleAst, PortDir, Statement};
 pub use elaborate::{elaborate, extract_semantics, parse_and_elaborate, ElaborateError};
 pub use emit::emit_verilog;
-pub use fuzz::{check_seed, generate_module, interp_equivalent, FuzzOutcome, FuzzRng};
+pub use fuzz::{check_seed, generate_module, interp_equivalent, FuzzOutcome};
 pub use models::{builtin_models, BuiltinModel};
 pub use parser::{parse_module, ParseError};
 

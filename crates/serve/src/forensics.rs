@@ -25,7 +25,7 @@
 //!
 //! Everything here is observation-only: the recorder never touches the
 //! mapping configuration or the cache, so enabling it must not change any
-//! deterministic synthesis counter (`check_obs` gates exactly that).
+//! deterministic synthesis counter (`exp_obs` gates exactly that).
 
 use std::collections::VecDeque;
 use std::io::Write as _;

@@ -1,11 +1,10 @@
-//! A minimal JSON value for the daemon protocol: parser and renderer, no
-//! dependencies.
+//! The workspace's JSON value: parser and renderer, no dependencies.
 //!
 //! The wire protocol (see [`crate::protocol`]) frames one JSON document per
-//! request/response. The bench crate already carries a read-only mini parser
-//! for `BENCH_*.json`; this one also *renders*, and its string handling covers
-//! what protocol payloads need — full escape output for arbitrary Verilog
-//! source (control characters as `\u00XX`) and `\uXXXX` escape input.
+//! request/response, and the `BENCH_*.json` bench records are written and read
+//! back through the same type. String handling covers what protocol payloads
+//! need — full escape output for arbitrary Verilog source (control characters
+//! as `\u00XX`) and `\uXXXX` escape input.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -92,6 +91,41 @@ impl Json {
         let mut out = String::new();
         self.render_into(&mut out);
         out
+    }
+
+    /// Renders the document for a committed file: one object member or array
+    /// element per line, indented two spaces, with each array element rendered
+    /// compactly — so a record's row arrays diff one row per line.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.pretty_into(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn pretty_into(&self, out: &mut String, indent: usize) {
+        let items: Vec<(Option<&String>, &Json)> = match self {
+            Json::Obj(map) if !map.is_empty() => map.iter().map(|(k, v)| (Some(k), v)).collect(),
+            Json::Arr(items) if !items.is_empty() => items.iter().map(|v| (None, v)).collect(),
+            _ => return self.render_into(out),
+        };
+        let is_obj = matches!(self, Json::Obj(_));
+        out.push(if is_obj { '{' } else { '[' });
+        for (i, (key, value)) in items.into_iter().enumerate() {
+            out.push_str(if i > 0 { ",\n" } else { "\n" });
+            out.extend(std::iter::repeat(' ').take(indent + 2));
+            match key {
+                Some(key) => {
+                    render_string(key, out);
+                    out.push_str(": ");
+                    value.pretty_into(out, indent + 2);
+                }
+                None => value.render_into(out),
+            }
+        }
+        out.push('\n');
+        out.extend(std::iter::repeat(' ').take(indent));
+        out.push(if is_obj { '}' } else { ']' });
     }
 
     fn render_into(&self, out: &mut String) {
@@ -338,6 +372,29 @@ mod tests {
         ]);
         let text = doc.render();
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn pretty_rendering_puts_one_member_or_row_per_line_and_round_trips() {
+        let doc = Json::obj([
+            ("scale", Json::str("Quick")),
+            ("exact", Json::obj([("a", Json::num(1)), ("b", Json::num(2.5))])),
+            ("rows", Json::Arr(vec![Json::obj([("n", Json::num(1))]), Json::Arr(vec![])])),
+            ("empty", Json::obj([])),
+        ]);
+        let text = doc.render_pretty();
+        assert_eq!(
+            text,
+            "{\n  \"empty\": {},\n  \"exact\": {\n    \"a\": 1,\n    \"b\": 2.5\n  },\n  \
+             \"rows\": [\n    {\"n\":1},\n    []\n  ],\n  \"scale\": \"Quick\"\n}\n"
+        );
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn parser_preserves_multi_byte_utf8_strings() {
+        let doc = Json::parse("{\"arch\": \"Xilinx UltraScale+ → §5.1\"}").unwrap();
+        assert_eq!(doc.get(&["arch"]).and_then(Json::as_str), Some("Xilinx UltraScale+ → §5.1"));
     }
 
     #[test]
