@@ -19,8 +19,10 @@
 //! * containing at most `max_ands` AND gates.
 //!
 //! With `max_leaves` at or below the target architecture's LUT size, every
-//! cone is a one-LUT mapping problem — a shape the CEGIS loop solves quickly
-//! and deterministically.
+//! cone is a one-LUT mapping problem. Such a cone needs no synthesis: the
+//! mapper reads the LUT INIT off the cone's truth table (all 2^K points) and
+//! checks the LUT on every point, leaving CEGIS to the multi-bit, registered
+//! and DSP jobs that need a search.
 //!
 //! ## Stitching
 //!

@@ -413,6 +413,25 @@ impl Architecture {
         };
         builder.prim(prim)
     }
+
+    /// The INIT (`sram` on SOFA) value that makes a LUT from
+    /// [`Architecture::instantiate_lut`] over `inputs` input nodes compute the
+    /// truth table `truth`: bit `p` of `truth` is the output when input `i`
+    /// carries bit `i` of `p`. Pins past `inputs` are tied to zero, so the INIT
+    /// bits they select are 0.
+    ///
+    /// # Panics
+    /// Panics if `inputs` exceeds the LUT size.
+    pub fn lut_init(&self, truth: u64, inputs: u32) -> BitVec {
+        let size = self.lut_size();
+        assert!(inputs <= size, "LUT{size} cannot take {inputs} inputs on {}", self.name);
+        // Input i drives select bit i on every model `instantiate_lut` binds:
+        // LUT6 reads INIT[{I5..I0}], LUT4 INIT[{D, C, B, A}] and frac_lut4
+        // sram[in] with input i on `in[i]`. So point p selects INIT bit p.
+        (0..1u64 << inputs)
+            .filter(|point| truth >> point & 1 == 1)
+            .fold(BitVec::zeros(1 << size), |init, point| init.with_bit(point as u32, true))
+    }
 }
 
 /// Reserves a disjoint node-id region for the semantics sub-program of the
@@ -595,6 +614,41 @@ mod tests {
                     "{} x={xv} y={yv}",
                     arch.name()
                 );
+            }
+        }
+    }
+
+    /// `lut_init` agrees with the LUT models' select order: a LUT filled with
+    /// the INIT of a truth table computes that table on every point, for every
+    /// input count up to the LUT size.
+    #[test]
+    fn lut_init_follows_each_models_select_order() {
+        let mut rng = lr_bv::Rng::new(0x7ab1e);
+        for arch in Architecture::all() {
+            for k in 0..=arch.lut_size() {
+                let mut b = ProgBuilder::new("lut_tt");
+                let names: Vec<String> = (0..k).map(|i| format!("x{i}")).collect();
+                let pins: Vec<NodeId> = names.iter().map(|n| b.input(n, 1)).collect();
+                let lut = arch.instantiate_lut(&mut b, &pins, 0);
+                let prog = b.finish(lut);
+                let truth = rng.next_u64() & (u64::MAX >> (64 - (1 << k)));
+                let hole = prog.holes()[0].name.clone();
+                let filled =
+                    prog.fill_holes(&BTreeMap::from([(hole, arch.lut_init(truth, k))])).unwrap();
+                for point in 0..1u64 << k {
+                    let env = StreamInputs::from_constants(
+                        names
+                            .iter()
+                            .enumerate()
+                            .map(|(i, n)| (n.clone(), BitVec::from_u64(point >> i, 1))),
+                    );
+                    assert_eq!(
+                        filled.interp(&env, 0).unwrap(),
+                        BitVec::from_bool(truth >> point & 1 == 1),
+                        "{} k={k} point={point:b}",
+                        arch.name()
+                    );
+                }
             }
         }
     }

@@ -6,16 +6,17 @@
 //! total, the largest >=1000 on its own) runs twice over one shared
 //! [`SynthCache`]:
 //!
-//! * **cold** — every distinct cone synthesizes once; isomorphic cones
-//!   (identical canonical `x0..xK` specs) collapse into cache hits even within
-//!   the first run;
+//! * **cold** — every distinct cone maps once, by its truth table; isomorphic
+//!   cones (identical canonical `x0..xK` specs) collapse into cache hits even
+//!   within the first run;
 //! * **warm** — the identical mapping repeated against the same cache must be
 //!   served entirely from it.
 //!
 //! Both runs stitch the per-cone implementations back together and verify the
 //! result against the source AIG on seeded random stimulus. The gates are
 //! zero-tolerance: any verification mismatch, any warm cone missing the cache,
-//! or any cone wider than the LUT fails the run — and the record's `exact`
+//! any cone job that reaches CEGIS instead of its truth table, or any cone
+//! wider than the LUT fails the run — and the record's `exact`
 //! section additionally pins the cone/coverage counters to the committed
 //! baseline, because the partitioner is deterministic.
 
@@ -65,6 +66,11 @@ pub struct FixtureRun {
     pub cold_cache_hits: usize,
     /// Cone jobs served from the cache during the warm run (must be all).
     pub warm_cache_hits: usize,
+    /// Cone jobs of the cold run that reached CEGIS (must be 0: every cone
+    /// fits one LUT, so its truth table maps it).
+    pub cold_synthesized_cones: usize,
+    /// Cone jobs of the warm run that reached CEGIS (must be 0).
+    pub warm_synthesized_cones: usize,
     /// Logic elements of the stitched implementation.
     pub logic_elements: usize,
     /// Register bits of the stitched implementation.
@@ -123,6 +129,11 @@ impl AigReport {
         self.fixtures.iter().all(|f| f.warm_cache_hits == f.cones)
     }
 
+    /// Whether no cone job, cold or warm, reached CEGIS.
+    pub fn no_cone_reached_cegis(&self) -> bool {
+        self.fixtures.iter().all(|f| f.cold_synthesized_cones + f.warm_synthesized_cones == 0)
+    }
+
     /// The failed acceptance gates, empty when the experiment is healthy.
     pub fn gate_failures(&self) -> Vec<String> {
         let mut failures = self.failures.clone();
@@ -138,6 +149,13 @@ impl AigReport {
                 failures.push(format!(
                     "{}: only {} of {} warm cones were served from the cache",
                     f.name, f.warm_cache_hits, f.cones
+                ));
+            }
+            let synthesized = f.cold_synthesized_cones + f.warm_synthesized_cones;
+            if synthesized > 0 {
+                failures.push(format!(
+                    "{}: {synthesized} cone jobs reached CEGIS instead of their truth table",
+                    f.name
                 ));
             }
             if f.max_leaves > lut {
@@ -177,7 +195,10 @@ impl AigReport {
                     name: f.name, ands: f.ands, latches: f.latches, outputs: f.outputs,
                     cones: f.cones, covered_ands: f.covered_ands, max_leaves: f.max_leaves,
                     unique_cones: f.unique_cones, cold_cache_hits: f.cold_cache_hits,
-                    warm_cache_hits: f.warm_cache_hits, logic_elements: f.logic_elements,
+                    warm_cache_hits: f.warm_cache_hits,
+                    cold_synthesized_cones: f.cold_synthesized_cones,
+                    warm_synthesized_cones: f.warm_synthesized_cones,
+                    logic_elements: f.logic_elements,
                     registers: f.registers, verify_environments: f.verify_environments,
                     verify_cycles: f.verify_cycles, verify_mismatches: f.verify_mismatches,
                     cold_wall_ms: f.cold_wall_ms, warm_wall_ms: f.warm_wall_ms,
@@ -188,6 +209,7 @@ impl AigReport {
             .invariant("gates_pass", self.gate_failures().is_empty())
             .invariant("total_mismatches_is_zero", self.total_mismatches() == 0)
             .invariant("warm_all_hits", self.warm_all_hits())
+            .invariant("no_cone_reached_cegis", self.no_cone_reached_cegis())
             .exact("total_ands", self.total_ands())
             .exact("largest_fixture_ands", self.largest_fixture_ands())
             .exact("total_cones", self.total_cones())
@@ -210,7 +232,7 @@ impl AigReport {
         for f in &self.fixtures {
             println!(
                 "  {:16} {:5} ANDs {:2} latches -> {:4} cones ({} unique, widest {}) \
-                 cold {:8.1} ms ({} cache hits), warm {:7.1} ms ({} hits), \
+                 cold {:8.1} ms ({} cache hits, {} synthesized), warm {:7.1} ms ({} hits), \
                  {} LEs, verify {}x{} with {} mismatches",
                 f.name,
                 f.ands,
@@ -220,6 +242,7 @@ impl AigReport {
                 f.max_leaves,
                 f.cold_wall_ms,
                 f.cold_cache_hits,
+                f.cold_synthesized_cones,
                 f.warm_wall_ms,
                 f.warm_cache_hits,
                 f.logic_elements,
@@ -289,6 +312,8 @@ fn run_fixture(name: &str, aig: &Aig, scale: Scale, workers: usize) -> Result<Fi
         unique_cones: count_unique_cones(&partition),
         cold_cache_hits: cold.cache_hits,
         warm_cache_hits: warm.cache_hits,
+        cold_synthesized_cones: cold.synthesized_cones,
+        warm_synthesized_cones: warm.synthesized_cones,
         logic_elements: cold.resources.logic_elements,
         registers: cold.resources.registers,
         verify_environments: cold.verify.environments,
@@ -353,6 +378,8 @@ mod tests {
             unique_cones: 2,
             cold_cache_hits: 0,
             warm_cache_hits: 2,
+            cold_synthesized_cones: 0,
+            warm_synthesized_cones: 0,
             logic_elements: 2,
             registers: 0,
             verify_environments: 32,
@@ -412,6 +439,11 @@ mod tests {
         small.fixtures[1].ands = 900;
         assert!(small.gate_failures().iter().any(|f| f.contains(">=1000")));
 
+        let mut cegis = sample_report();
+        cegis.fixtures[1].cold_synthesized_cones = 1;
+        assert!(cegis.gate_failures().iter().any(|f| f.contains("reached CEGIS")));
+        assert!(!cegis.no_cone_reached_cegis());
+
         let mut failed = sample_report();
         failed.failures.push("rand_mid.aig (cold): cone `x` did not map: timeout".into());
         assert!(failed.gate_failures().iter().any(|f| f.contains("did not map")));
@@ -423,6 +455,7 @@ mod tests {
         assert_eq!(doc.get(&["invariants", "gates_pass"]), Some(&Json::Bool(true)));
         assert_eq!(doc.get(&["invariants", "total_mismatches_is_zero"]), Some(&Json::Bool(true)));
         assert_eq!(doc.get(&["invariants", "warm_all_hits"]), Some(&Json::Bool(true)));
+        assert_eq!(doc.get(&["invariants", "no_cone_reached_cegis"]), Some(&Json::Bool(true)));
         // Per-fixture sums are computed by the writer: 7 + 1300 covered ANDs.
         let covered = doc.get(&["exact", "fixtures_covered_ands"]).and_then(Json::as_f64);
         assert_eq!(covered, Some(1307.0));

@@ -23,13 +23,15 @@
 //!   That keeps entries tiny and forces every replay through the same
 //!   specialization path as synthesis.
 //! * **Success hits are verified.** A replayed implementation is checked
-//!   against the spec by `lr_ir` interpretation on pseudorandom stimulus
-//!   before it is served (see [`replay`]); a stale or hash-colliding entry
-//!   fails the check, is invalidated, and the request falls back to real
-//!   synthesis. UNSAT entries have nothing to replay, so they rest on the
-//!   content address alone — which is why the key is 128 bits and why the
-//!   on-disk format carries a version header that must be bumped whenever the
-//!   sketch generator or synthesis semantics change what is mappable.
+//!   against the spec by `lr_ir` interpretation before it is served (see
+//!   [`replay`]): on every input point for small register-free specs, which
+//!   makes the check a proof, else on pseudorandom stimulus. A stale or
+//!   hash-colliding entry fails the check, is invalidated, and the request
+//!   falls back to real synthesis. UNSAT entries have nothing to replay, so
+//!   they rest on the content address alone — which is why the key is 128
+//!   bits and why the on-disk format carries a version header that must be
+//!   bumped whenever the sketch generator or synthesis semantics change what
+//!   is mappable.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -360,12 +362,18 @@ fn stimulus(round: u64, input_index: u64) -> u64 {
 /// served. Cheap (pure interpretation) relative to even one solver call.
 const REPLAY_ROUNDS: u64 = 12;
 
+/// Register-free specs with at most this many input bits are replayed on every
+/// input point instead of the seeded rounds. The check is then a proof, and it
+/// is cheaper too: 16 points for a 4-leaf cone against 12 rounds × (window + 1)
+/// cycles.
+const EXHAUSTIVE_INPUT_BITS: u32 = 6;
+
 /// Replays a cached hole assignment: regenerates the sketch for `(template,
 /// arch, spec)`, fills the holes, simplifies, and checks the result against the
-/// spec by stream interpretation at the cycles synthesis would have checked.
-/// Returns `None` — caller falls back to synthesis — if the sketch no longer
-/// generates, the assignment no longer fits its domains, or any stimulus round
-/// disagrees (a stale or colliding entry).
+/// spec by stream interpretation at the cycles synthesis would have checked
+/// (see [`agrees`]). Returns `None` — caller falls back to synthesis — if the
+/// sketch no longer generates, the assignment no longer fits its domains, or
+/// any checked point disagrees (a stale or colliding entry).
 pub fn replay(
     spec: &Prog,
     template: Template,
@@ -377,18 +385,8 @@ pub fn replay(
     let sketch = generate_sketch(template, arch, spec).ok()?;
     let filled = sketch.fill_holes(holes).ok()?;
     let implementation = filled.simplified().with_name(format!("{}_impl", spec.name()));
-    let t = pipeline_depth(spec);
-    let inputs = spec.free_vars();
-    for round in 0..REPLAY_ROUNDS {
-        let mut env = StreamInputs::new();
-        for (i, (name, width)) in inputs.iter().enumerate() {
-            env.set_constant(name.clone(), BitVec::from_u64(stimulus(round, i as u64), *width));
-        }
-        for cycle in t..=t + config.bmc_window {
-            if spec.interp(&env, cycle).ok()? != implementation.interp(&env, cycle).ok()? {
-                return None;
-            }
-        }
+    if !agrees(spec, &implementation, pipeline_depth(spec), config.bmc_window) {
+        return None;
     }
     let resources = count_resources(&implementation);
     let verilog = lr_hdl::emit_verilog(&implementation);
@@ -408,6 +406,47 @@ pub fn replay(
             ..SynthesisStats::default()
         },
     })
+}
+
+/// Whether `implementation` matches `spec` at cycles `t..=t + window` under
+/// constant input streams: on every input point when the spec is register-free
+/// with at most [`EXHAUSTIVE_INPUT_BITS`] input bits, otherwise on
+/// [`REPLAY_ROUNDS`] seeded points. When neither program holds a register,
+/// every cycle computes the same value, so only cycle `t` is interpreted.
+pub(crate) fn agrees(spec: &Prog, implementation: &Prog, t: u32, window: u32) -> bool {
+    let inputs = spec.free_vars();
+    let combinational = spec.is_combinational();
+    let last = if combinational && implementation.is_combinational() { t } else { t + window };
+    let matches = |env: &StreamInputs| match (
+        spec.interp_trace(env, last),
+        implementation.interp_trace(env, last),
+    ) {
+        (Ok(want), Ok(got)) => want[t as usize..] == got[t as usize..],
+        _ => false,
+    };
+    let input_bits: u32 = inputs.iter().map(|(_, width)| width).sum();
+    if combinational && input_bits <= EXHAUSTIVE_INPUT_BITS {
+        return (0..1u64 << input_bits).all(|point| matches(&point_env(&inputs, point)));
+    }
+    (0..REPLAY_ROUNDS).all(|round| {
+        let mut env = StreamInputs::new();
+        for (i, (name, width)) in inputs.iter().enumerate() {
+            env.set_constant(name.clone(), BitVec::from_u64(stimulus(round, i as u64), *width));
+        }
+        matches(&env)
+    })
+}
+
+/// The constant input streams of one input point: `inputs` take consecutive
+/// bits of `point`, the first input the lowest.
+pub(crate) fn point_env(inputs: &[(String, u32)], point: u64) -> StreamInputs {
+    let mut env = StreamInputs::new();
+    let mut shift = 0;
+    for (name, width) in inputs {
+        env.set_constant(name.clone(), BitVec::from_u64(point >> shift, *width));
+        shift += width;
+    }
+    env
 }
 
 #[cfg(test)]
@@ -523,6 +562,39 @@ mod tests {
             b.finish(r)
         };
         assert_eq!(spec_fingerprint(&counter(false)), spec_fingerprint(&counter(true)));
+    }
+
+    /// A cached LUT INIT wrong on exactly one input point that the seeded
+    /// rounds never draw is still rejected: a small combinational spec is
+    /// replayed on every point.
+    #[test]
+    fn replay_rejects_an_init_wrong_only_where_seeded_rounds_never_look() {
+        // out = (x0 & x1) | (x2 ^ x3): a 4-leaf, one-LUT cone.
+        let mut b = ProgBuilder::new("cone");
+        let x: Vec<NodeId> = (0..4).map(|i| b.input(&format!("x{i}"), 1)).collect();
+        let and = b.op2(BvOp::And, x[0], x[1]);
+        let xor = b.op2(BvOp::Xor, x[2], x[3]);
+        let out = b.op2(BvOp::Or, and, xor);
+        let spec = b.finish(out);
+        let f = |p: u64| (p & 1 == 1 && p >> 1 & 1 == 1) || ((p >> 2) ^ (p >> 3)) & 1 == 1;
+        let truth = (0..16).filter(|&p| f(p)).fold(0u64, |t, p| t | 1 << p);
+
+        let drawn: Vec<u64> = (0..REPLAY_ROUNDS)
+            .map(|round| (0..4).map(|i| (stimulus(round, i) & 1) << i).sum())
+            .collect();
+        let unseen = (0..16).find(|p| !drawn.contains(p)).expect("12 rounds cannot draw 16 points");
+
+        let arch = Architecture::intel_cyclone10lp();
+        let config = MapConfig::default();
+        let replay_with = |truth: u64| {
+            let holes = BTreeMap::from([("lut0.INIT".to_string(), arch.lut_init(truth, 4))]);
+            replay(&spec, Template::Bitwise, &arch, &config, &holes, Instant::now())
+        };
+        assert!(replay_with(truth).is_some(), "the right INIT replays");
+        assert!(
+            replay_with(truth ^ 1 << unseen).is_none(),
+            "an INIT wrong at point {unseen:04b}, which no seeded round draws, must be stale"
+        );
     }
 
     #[test]

@@ -33,11 +33,13 @@ pub mod report;
 pub mod source;
 pub mod suite;
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lr_arch::Architecture;
+use lr_bv::BitVec;
 use lr_ir::{Node, Prog};
 use lr_synth::portfolio::synthesize_portfolio_with;
 use lr_synth::{SolverConfig, SynthesisConfig, SynthesisError, SynthesisOutcome, SynthesisTask};
@@ -431,6 +433,18 @@ fn map_prepared_design(
     }
 
     let sketch = generate_sketch(template, arch, spec)?;
+    // A single-LUT Bitwise job needs no search: its INIT is the spec's truth
+    // table. Like CEGIS, the path does not start once the job is cancelled or
+    // its budget is spent; those jobs fall through and report the timeout.
+    let cancelled = config.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed));
+    if template == Template::Bitwise && !cancelled && started.elapsed() < config.timeout {
+        if let Some((holes, mapped)) = map_by_truth_table(spec, &sketch, arch, config) {
+            if let (Some(cache), Some(key)) = (config.cache.as_deref(), key) {
+                cache.store(key, CachedOutcome::Success { holes });
+            }
+            return Ok(MapOutcome::Success(Box::new(mapped)));
+        }
+    }
     let t = pipeline_depth(spec);
     let task = SynthesisTask::over_window(spec, &sketch, t, config.bmc_window);
     let synth_config = SynthesisConfig {
@@ -479,6 +493,86 @@ fn map_prepared_design(
             MapOutcome::Timeout { elapsed: stats.elapsed, stats: Box::new(stats) }
         }
     })
+}
+
+/// The [`SynthesisStats::solver_name`] of mappings decided by their truth
+/// table instead of CEGIS (see [`truth_table_holes`]).
+pub const TRUTH_TABLE_SOLVER: &str = "truth-table";
+
+/// The hole assignment that fills a Bitwise `sketch` for `spec` with the
+/// spec's truth table, when the spec is a single-LUT function: a 1-bit,
+/// register-free function of at most `arch.lut_size()` 1-bit inputs, with a
+/// sketch of exactly one hole. `None` for any other shape.
+///
+/// The spec is evaluated on all 2^K input points, and the INIT is laid out in
+/// the LUT's select order by [`Architecture::lut_init`]. The assignment is
+/// not yet checked; [`map_design`] checks it on every point before serving
+/// it.
+pub fn truth_table_holes(
+    spec: &Prog,
+    sketch: &Prog,
+    arch: &Architecture,
+) -> Option<BTreeMap<String, BitVec>> {
+    let inputs = spec.free_vars();
+    let k = inputs.len() as u32;
+    let single_lut = spec.width(spec.root()) == 1
+        && k <= arch.lut_size()
+        && inputs.iter().all(|(_, width)| *width == 1)
+        && spec.is_combinational();
+    if !single_lut {
+        return None;
+    }
+    let holes = sketch.holes();
+    let [hole] = holes.as_slice() else { return None };
+    let mut truth = 0u64;
+    for point in 0..1u64 << k {
+        if !spec.interp(&cache::point_env(&inputs, point), 0).ok()?.is_zero() {
+            truth |= 1 << point;
+        }
+    }
+    Some(BTreeMap::from([(hole.name.clone(), arch.lut_init(truth, k))]))
+}
+
+/// Maps a single-LUT Bitwise job by its truth table (see
+/// [`truth_table_holes`]), checking the filled implementation against the spec
+/// on every input point — a proof, since both are combinational. Returns the
+/// holes to cache and the mapping, or `None` when the shape does not qualify or
+/// a point disagrees, and the job goes to CEGIS.
+fn map_by_truth_table(
+    spec: &Prog,
+    sketch: &Prog,
+    arch: &Architecture,
+    config: &MapConfig,
+) -> Option<(BTreeMap<String, BitVec>, MappedDesign)> {
+    let started = Instant::now();
+    let mut sp = lr_trace::span("truth-table");
+    let holes = truth_table_holes(spec, sketch, arch)?;
+    let implementation =
+        sketch.fill_holes(&holes).ok()?.simplified().with_name(format!("{}_impl", spec.name()));
+    let proved = cache::agrees(spec, &implementation, 0, config.bmc_window);
+    sp.attr("proved", u64::from(proved));
+    if !proved {
+        return None;
+    }
+    lr_trace::counter_add("truth_table.mapped", 1);
+    let resources = count_resources(&implementation);
+    let verilog = lr_hdl::emit_verilog(&implementation);
+    let elapsed = started.elapsed();
+    let mapped = MappedDesign {
+        implementation,
+        verilog,
+        resources,
+        elapsed,
+        winning_solver: Some(TRUTH_TABLE_SOLVER.to_string()),
+        iterations: 0,
+        from_cache: false,
+        stats: SynthesisStats {
+            solver_name: TRUTH_TABLE_SOLVER.to_string(),
+            elapsed,
+            ..SynthesisStats::default()
+        },
+    };
+    Some((holes, mapped))
 }
 
 /// Maps a design without naming a template: tries the templates in the order the

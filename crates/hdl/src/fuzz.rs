@@ -290,13 +290,14 @@ pub fn interp_equivalent(
         let env = StreamInputs::from_constants(vars.iter().map(|(name, width)| {
             (name.clone(), BitVec::from_u64(rng.next_u64() & mask(*width), *width))
         }));
+        let spec_trace = spec
+            .interp_trace(&env, last_cycle)
+            .map_err(|e| format!("round {round}: spec interp failed: {e}"))?;
+        let candidate_trace = candidate
+            .interp_trace(&env, last_cycle)
+            .map_err(|e| format!("round {round}: candidate interp failed: {e}"))?;
         for t in first_cycle..=last_cycle {
-            let a = spec
-                .interp(&env, t)
-                .map_err(|e| format!("round {round} cycle {t}: spec interp failed: {e}"))?;
-            let b = candidate
-                .interp(&env, t)
-                .map_err(|e| format!("round {round} cycle {t}: candidate interp failed: {e}"))?;
+            let (a, b) = (&spec_trace[t as usize], &candidate_trace[t as usize]);
             if a != b {
                 return Err(format!(
                     "round {round} cycle {t}: spec = {a}, candidate = {b} (inputs: {})",

@@ -137,8 +137,16 @@ impl Prog {
 
     /// Evaluates the root at each of the cycles `0..=last`, returning one value per
     /// cycle. Useful for comparing pipelined designs over a window of time.
+    ///
+    /// Every cycle shares one `(node, cycle)` memo: a register at cycle `t` reads
+    /// its data at `t - 1`, which the previous cycle already evaluated, so each
+    /// node is evaluated (and each input fetched) once per cycle and a trace
+    /// costs O(T) rather than the O(T²) of calling [`Prog::interp`] per cycle.
+    /// The values are exactly those [`Prog::interp`] returns cycle by cycle.
     pub fn interp_trace(&self, inputs: &dyn Inputs, last: u32) -> Result<Vec<BitVec>, InterpError> {
-        (0..=last).map(|t| self.interp(inputs, t)).collect()
+        let env = EnvCtx::External(inputs);
+        let mut memo = HashMap::new();
+        (0..=last).map(|t| eval(self, &env, t, self.root(), &mut memo)).collect()
     }
 }
 
@@ -392,6 +400,163 @@ mod tests {
         let prog = b.finish(a);
         let env = inputs(&[("a", 1, 4)]);
         assert!(matches!(prog.interp(&env, 0), Err(InterpError::WidthMismatch { .. })));
+    }
+
+    /// An [`Inputs`] that counts every fetch per `(input, cycle)`.
+    struct CountingInputs {
+        inner: StreamInputs,
+        fetches: std::cell::RefCell<BTreeMap<(String, u32), usize>>,
+    }
+
+    impl Inputs for CountingInputs {
+        fn get(&self, name: &str, time: u32) -> Option<BitVec> {
+            *self.fetches.borrow_mut().entry((name.to_string(), time)).or_default() += 1;
+            self.inner.get(name, time)
+        }
+    }
+
+    /// A trace fetches each `(input, cycle)` exactly once, however deep the
+    /// register history behind the root: the memo is shared across cycles, so
+    /// work is linear in the trace length.
+    #[test]
+    fn interp_trace_fetches_each_input_once_per_cycle() {
+        // acc <= acc + prim(a, reg(a ^ b)); out = acc ^ a ^ b — a feedback register,
+        // a delayed path and a direct path all read the inputs.
+        let mut b = ProgBuilder::new("linear");
+        let a = b.input("a", 8);
+        let bb = b.input("b", 8);
+        let mixed = b.op2(BvOp::Xor, a, bb);
+        let delayed = b.reg(mixed, 8);
+        let mut inner = ProgBuilder::with_base_id("adder_sem", 100);
+        let x = inner.var("x", 8);
+        let y = inner.var("y", 8);
+        let s = inner.op2(BvOp::Add, x, y);
+        let sem = inner.finish(s);
+        let prim = b.prim(PrimInstance {
+            module: "ADDER".into(),
+            interface: "ADDER".into(),
+            bindings: [("x".to_string(), a), ("y".to_string(), delayed)].into_iter().collect(),
+            semantics: sem,
+            param_names: vec![],
+            output_port: "o".into(),
+        });
+        let acc = b.reg_placeholder(8);
+        let next = b.op2(BvOp::Add, acc, prim);
+        b.set_reg_data(acc, next);
+        let out = b.op2(BvOp::Xor, acc, mixed);
+        let prog = b.finish(out);
+        assert!(prog.well_formed().is_ok());
+
+        let mut inner = StreamInputs::new();
+        inner.set_trace("a", (1..=6).map(|v| BitVec::from_u64(v, 8)).collect());
+        inner.set_constant("b", BitVec::from_u64(0x5A, 8));
+        let env = CountingInputs { inner, fetches: Default::default() };
+        let last = 11;
+        let trace = prog.interp_trace(&env, last).unwrap();
+        assert_eq!(trace.len(), 12);
+        let fetches = env.fetches.into_inner();
+        assert_eq!(fetches.len(), 2 * 12, "every (input, cycle) is read: {fetches:?}");
+        assert!(fetches.values().all(|&n| n == 1), "an input was fetched twice: {fetches:?}");
+    }
+
+    mod properties {
+        //! `Prog::interp_trace` against per-cycle `Prog::interp` (the reference
+        //! semantics) on random programs with registers, register feedback and
+        //! primitive instances whose semantics hold registers of their own.
+
+        use super::super::*;
+        use crate::{BvOp, PrimInstance, ProgBuilder, StreamInputs};
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Instr {
+            Bin(u8, usize, usize),
+            Reg(usize),
+            Acc(usize),
+            Prim(usize, usize),
+        }
+
+        const WIDTH: u32 = 8;
+
+        fn instr_strategy() -> impl Strategy<Value = Instr> {
+            prop_oneof![
+                (0u8..4, 0usize..64, 0usize..64).prop_map(|(op, a, b)| Instr::Bin(op, a, b)),
+                (0usize..64).prop_map(Instr::Reg),
+                (0usize..64).prop_map(Instr::Acc),
+                (0usize..64, 0usize..64).prop_map(|(a, b)| Instr::Prim(a, b)),
+            ]
+        }
+
+        /// A primitive computing `x * y + reg(x)`, its semantics placed in its
+        /// own node-id region.
+        fn prim(index: u32, x: NodeId, y: NodeId) -> PrimInstance {
+            let mut inner = ProgBuilder::with_base_id("mac_sem", 100_000 * (index + 1));
+            let px = inner.var("x", WIDTH);
+            let py = inner.var("y", WIDTH);
+            let prod = inner.op2(BvOp::Mul, px, py);
+            let held = inner.reg(px, WIDTH);
+            let out = inner.op2(BvOp::Add, prod, held);
+            PrimInstance {
+                module: "MAC".into(),
+                interface: "MAC".into(),
+                bindings: [("x".to_string(), x), ("y".to_string(), y)].into_iter().collect(),
+                semantics: inner.finish(out),
+                param_names: vec![],
+                output_port: "o".into(),
+            }
+        }
+
+        fn build(instrs: &[Instr]) -> Prog {
+            let mut b = ProgBuilder::new("prop_trace");
+            let mut nodes: Vec<NodeId> = ["a", "b"].iter().map(|n| b.input(n, WIDTH)).collect();
+            let mut prims = 0;
+            for instr in instrs {
+                let pick = |nodes: &[NodeId], i: usize| nodes[i % nodes.len()];
+                let node = match *instr {
+                    Instr::Bin(op, x, y) => {
+                        let op = [BvOp::Add, BvOp::Sub, BvOp::Xor, BvOp::And][op as usize % 4];
+                        b.op2(op, pick(&nodes, x), pick(&nodes, y))
+                    }
+                    Instr::Reg(d) => b.reg(pick(&nodes, d), WIDTH),
+                    Instr::Acc(d) => {
+                        let acc = b.reg_placeholder(WIDTH);
+                        let next = b.op2(BvOp::Add, acc, pick(&nodes, d));
+                        b.set_reg_data(acc, next);
+                        acc
+                    }
+                    Instr::Prim(x, y) => {
+                        prims += 1;
+                        b.prim(prim(prims, pick(&nodes, x), pick(&nodes, y)))
+                    }
+                };
+                nodes.push(node);
+            }
+            let root = *nodes.last().expect("inputs guarantee a node");
+            b.finish(root)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn interp_trace_matches_per_cycle_interp(
+                instrs in proptest::collection::vec(instr_strategy(), 1..20),
+                a_trace in proptest::collection::vec(0u64..=0xff, 1..6),
+                b_value in 0u64..=0xff,
+                last in 0u32..8,
+            ) {
+                let prog = build(&instrs);
+                prop_assert!(prog.well_formed().is_ok(), "generator must produce wf programs");
+                let mut env = StreamInputs::new();
+                env.set_trace("a", a_trace.iter().map(|&v| BitVec::from_u64(v, WIDTH)).collect());
+                env.set_constant("b", BitVec::from_u64(b_value, WIDTH));
+                let trace = prog.interp_trace(&env, last).unwrap();
+                prop_assert_eq!(trace.len(), last as usize + 1);
+                for (t, value) in trace.iter().enumerate() {
+                    prop_assert_eq!(value, &prog.interp(&env, t as u32).unwrap(), "cycle {}", t);
+                }
+            }
+        }
     }
 
     #[test]

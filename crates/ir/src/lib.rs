@@ -270,6 +270,17 @@ impl Prog {
         }
         stats
     }
+
+    /// Whether the program holds no register, inside primitive semantics
+    /// included: its value at every cycle is then the same function of that
+    /// cycle's inputs.
+    pub fn is_combinational(&self) -> bool {
+        self.nodes.values().all(|node| match node {
+            Node::Reg { .. } => false,
+            Node::Prim(p) => p.semantics.is_combinational(),
+            _ => true,
+        })
+    }
 }
 
 /// Computes the width of a node from a node map (shared between [`Prog::width`]

@@ -13,7 +13,11 @@
 //!    ([`run_batch_streaming`]), prioritized by cone size so the fattest
 //!    cones start first, sharing one content-addressed [`SynthCache`] so
 //!    isomorphic cones (identical canonical `x0..xK` specs) collapse into a
-//!    single synthesis;
+//!    single mapping. Each cone is a 1-bit, register-free function of at most
+//!    `lut_size` leaves, so `lakeroad::map_design` maps it by its truth table:
+//!    it evaluates the cone on all 2^K points, fills the LUT INIT, and checks
+//!    the LUT on every point. No cone reaches CEGIS
+//!    ([`NetlistReport::synthesized_cones`] counts any that do);
 //! 3. stitches the per-cone implementations back into one mapped design
 //!    ([`lr_aig::stitch`]) and verifies it against the original AIG on seeded
 //!    random stimulus ([`lr_aig::verify_stitched`]).
@@ -26,7 +30,7 @@
 
 use std::time::{Duration, Instant};
 
-use lakeroad::{count_resources, MapConfig, MapOutcome, Resources, Template};
+use lakeroad::{count_resources, MapConfig, MapOutcome, Resources, Template, TRUTH_TABLE_SOLVER};
 use lr_aig::{partition, stitch, verify_stitched, Aig, ConeOptions, Partition, VerifyReport};
 use lr_arch::{ArchName, Architecture};
 use lr_ir::Prog;
@@ -80,7 +84,7 @@ pub struct NetlistReport {
     pub total_ands: usize,
     /// Latches in the source AIG.
     pub latches: usize,
-    /// Cones the partitioner cut (one synthesis job each).
+    /// Cones the partitioner cut (one mapping job each).
     pub cones: usize,
     /// AND gates covered across all cone bodies (clones counted per cone).
     pub covered_ands: usize,
@@ -89,6 +93,9 @@ pub struct NetlistReport {
     /// Cone jobs served from the synthesis cache rather than synthesized —
     /// isomorphic-cone collapse plus cross-run warmth.
     pub cache_hits: usize,
+    /// Cone jobs that reached CEGIS: neither served from the cache nor mapped
+    /// by their truth table. A cone within the LUT size never should.
+    pub synthesized_cones: usize,
     /// Resources of the stitched implementation.
     pub resources: Resources,
     /// The post-stitch verification sweep. [`VerifyReport::passed`] must hold
@@ -110,7 +117,7 @@ impl NetlistReport {
             "-- netlist mapping: {} --\n\
              \x20 source            : {} ANDs, {} latches\n\
              \x20 cones             : {} (covering {} ANDs, widest {} leaves)\n\
-             \x20 cache hits        : {} of {} cone jobs\n\
+             \x20 cache hits        : {} of {} cone jobs ({} synthesized)\n\
              \x20 implementation    : {} LEs, {} register bits\n\
              \x20 verification      : {} environments x {} cycles, {} mismatches\n\
              \x20 elapsed           : {:.2?}\n",
@@ -122,6 +129,7 @@ impl NetlistReport {
             self.max_leaves,
             self.cache_hits,
             self.cones,
+            self.synthesized_cones,
             self.resources.logic_elements,
             self.resources.registers,
             self.verify.environments,
@@ -151,8 +159,8 @@ pub fn cone_jobs(aig: &Aig, part: &Partition, arch: &Architecture) -> Vec<BatchJ
         .collect()
 }
 
-/// Maps a structural netlist end to end: partition into cones, synthesize
-/// every cone on the work-stealing scheduler, stitch, verify.
+/// Maps a structural netlist end to end: partition into cones, map every
+/// cone on the work-stealing scheduler, stitch, verify.
 ///
 /// `on_cone` observes each cone job's [`JobRecord`] as it is delivered (in
 /// submission order), exactly like [`run_batch_streaming`]'s callback; pass
@@ -191,12 +199,14 @@ pub fn map_netlist(
     };
 
     let mut impls = Vec::with_capacity(run.records.len());
-    let mut cache_hits = 0;
+    let (mut cache_hits, mut synthesized_cones) = (0, 0);
     for record in &run.records {
         match &record.result {
             JobResult::Finished(MapOutcome::Success(mapped)) => {
                 if mapped.from_cache {
                     cache_hits += 1;
+                } else if mapped.stats.solver_name != TRUTH_TABLE_SOLVER {
+                    synthesized_cones += 1;
                 }
                 impls.push(mapped.implementation.clone());
             }
@@ -243,6 +253,7 @@ pub fn map_netlist(
         covered_ands: part.covered_ands,
         max_leaves: part.max_leaves_used(),
         cache_hits,
+        synthesized_cones,
         resources: count_resources(&implementation),
         verify,
         implementation,
@@ -269,7 +280,7 @@ mod tests {
     }
 
     /// The cone-stitching integration test: a random sequential AIG maps end
-    /// to end through real synthesis, and the stitched implementation agrees
+    /// to end through the real mapper, and the stitched implementation agrees
     /// with the source on 32 random environments.
     #[test]
     fn random_netlists_map_and_verify() {
@@ -283,6 +294,7 @@ mod tests {
         assert!(report.max_leaves <= 4, "cones wider than the LUT: {}", report.max_leaves);
         assert_eq!(report.resources.registers, aig.num_latches());
         assert!(report.verilog.contains("module"));
+        assert_eq!(report.synthesized_cones, 0, "every cone fits one LUT");
         // Isomorphic-cone collapse: a 60-AND netlist cut into <=4-leaf cones
         // repeats structures, so the shared cache must have been hit.
         assert!(cache.len() <= report.cones);

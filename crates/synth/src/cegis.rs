@@ -332,10 +332,17 @@ impl SynthStep {
         // Permanent: one equality constraint per (new example, cycle). Examples only
         // accumulate, so in incremental mode this encodes exactly the delta.
         for (idx, example) in examples.iter().enumerate().skip(state.encoded_examples) {
+            // One trace per example: every cycle shares the interpreter's memo.
+            let last = task.at_cycle + task.extra_cycles;
+            let trace = task.spec.interp_trace(example, last).map_err(|e| {
+                SynthesisError::MalformedExample {
+                    example: idx,
+                    cycle: task.at_cycle,
+                    reason: e.to_string(),
+                }
+            })?;
             for cycle in task.cycles() {
-                let expected = task.spec.interp(example, cycle).map_err(|e| {
-                    SynthesisError::MalformedExample { example: idx, cycle, reason: e.to_string() }
-                })?;
+                let expected = trace[cycle as usize].clone();
                 let options = SymbolicOptions { concrete_inputs: Some(example) };
                 let sketch_term = task.sketch.to_term_with(state.session.pool(), cycle, &options);
                 let expected_term = state.session.pool().constant(expected);

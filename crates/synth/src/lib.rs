@@ -304,7 +304,7 @@ pub enum SynthesisError {
     MalformedExample {
         /// Index of the offending example in the accumulated example set.
         example: usize,
-        /// The clock cycle at which evaluation failed.
+        /// The first checked clock cycle of the trace whose evaluation failed.
         cycle: u32,
         /// The interpreter error.
         reason: String,
