@@ -3,18 +3,21 @@
 //!
 //! The completeness sweeps run their independent mapping jobs on the `lr_serve`
 //! work-stealing scheduler; `--jobs <N>` picks the worker count (default: the
-//! machine's parallelism). For jobs that finish within their budget, verdicts,
-//! resources, and tallies are identical at any worker count — per-job wall
-//! times are measured under whatever CPU contention the workers create, and a
-//! job running close to its wall-clock budget can flip to a timeout under
-//! that contention, so use `--jobs 1` for contention-free, paper-faithful
-//! Figure 6/7 numbers.
+//! machine's parallelism), which is also the sweep's whole thread budget: each
+//! scheduled job runs one portfolio member. For jobs that finish within their
+//! budget, verdicts, resources, and tallies are identical at any worker count —
+//! per-job wall times are measured under whatever CPU contention the workers
+//! create, and a job running close to its wall-clock budget can flip to a
+//! timeout under that contention, so use `--jobs 1` for contention-free Figure 6
+//! timings. Figure 7 and the portfolio paragraph come from a second sweep that
+//! maps one benchmark at a time, so every run there races all four members, as
+//! in the paper.
 
 use lr_arch::Architecture;
 use lr_bench::{
     cegis::{report_and_write, run_cegis_comparison},
     print_completeness, print_extensibility, print_histogram, print_portfolio,
-    print_primitives_table, print_resources, run_all, Scale,
+    print_primitives_table, print_resources, run_all, run_portfolio_sweep, Scale,
 };
 
 fn main() {
@@ -24,13 +27,15 @@ fn main() {
         Scale::workers_from_args()
     );
     let results = run_all(scale);
-    for (name, arch_results) in &results {
+    let races = run_portfolio_sweep(scale);
+    // Both sweeps cover `Architecture::with_dsps()`, in its order.
+    for ((name, arch_results), (_, arch_races)) in results.iter().zip(&races) {
         let arch = Architecture::load(*name);
         print_completeness(&arch, arch_results);
-        print_histogram(&arch, arch_results, scale.timeout(*name));
+        print_histogram(&arch, arch_races, scale.timeout(*name));
         print_resources(&arch, arch_results);
     }
-    print_portfolio(&results);
+    print_portfolio(&races);
     print_primitives_table();
     print_extensibility();
 

@@ -1,10 +1,12 @@
 //! Shared experiment driver for the `exp_*` binaries.
 //!
-//! Every paper table/figure is regenerated from the same sweep: run Lakeroad and the
-//! two modelled baselines over the §5.1 microbenchmark suites, record outcome,
-//! timing, and resources per run, then print each artifact (Figure 6 top/bottom,
-//! Figure 7, the resource-reduction and solver-portfolio paragraphs, Table 1, and
-//! the §5.2 extensibility comparison).
+//! The paper's tables/figures are regenerated from two sweeps. The scheduled sweep
+//! ([`run_all`]) runs Lakeroad, one portfolio member per job, and the two modelled
+//! baselines over the §5.1 microbenchmark suites, recording outcome, timing, and
+//! resources per run (Figure 6 top/bottom, the resource-reduction paragraph). The
+//! race sweep ([`run_portfolio_sweep`]) maps one benchmark at a time with the full
+//! four-member portfolio (Figure 7, the solver-portfolio paragraph). Table 1 and the
+//! §5.2 extensibility comparison need no sweep.
 
 pub mod aig;
 pub mod cegis;
@@ -55,14 +57,17 @@ impl Scale {
     }
 
     /// Parses `--jobs <N>` from argv: the scheduler worker count for the sweep
-    /// binaries. Defaults to the machine's available parallelism. Per-job wall
-    /// times are measured under whatever CPU contention the worker count
-    /// creates, so pass `--jobs 1` when regenerating the paper's *timing*
-    /// figures on a busy machine. Verdicts and resources are
-    /// worker-count-independent for jobs that finish within their budget
-    /// (pinned by the determinism tests); a job whose CPU need is close to its
-    /// wall-clock budget can flip to a timeout under contention — another
-    /// reason `--jobs 1` is the right mode for paper-faithful sweeps.
+    /// binaries. Defaults to the machine's available parallelism. N is the
+    /// sweep's whole thread budget: every scheduled job runs only the first
+    /// portfolio member, so `--jobs 1` means one solver thread in total and
+    /// the sweep's times are single-member times, not the paper's four-member
+    /// race ([`run_portfolio_sweep`] times the race). Per-job wall times are
+    /// measured under whatever CPU contention the worker count creates, so
+    /// pass `--jobs 1` for contention-free timings on a busy machine.
+    /// Verdicts and resources are worker-count-independent for jobs that
+    /// finish within their budget (pinned by the determinism tests); a job
+    /// whose CPU need is close to its wall-clock budget can flip to a timeout
+    /// under contention.
     pub fn workers_from_args() -> usize {
         let args: Vec<String> = std::env::args().collect();
         args.iter()
@@ -123,14 +128,12 @@ pub struct ArchResults {
     pub lakeroad_runs: Vec<LakeroadRun>,
     /// Outcome tally per tool ("lakeroad", "sota", "yosys").
     pub tallies: HashMap<String, Tally>,
-    /// Lakeroad run times.
+    /// Lakeroad run times (one portfolio member per job; Figure 6 bottom).
     pub lakeroad_times: Vec<Duration>,
     /// Baseline resources per tool, one entry per benchmark.
     pub baseline_resources: HashMap<String, Vec<lr_baselines::BaselineResources>>,
     /// Lakeroad resources for benchmarks where mapping succeeded.
     pub lakeroad_resources: Vec<lakeroad::Resources>,
-    /// Portfolio win counts by solver name.
-    pub portfolio_wins: HashMap<String, usize>,
 }
 
 /// Runs the completeness sweep for one architecture, with the worker count from
@@ -183,9 +186,6 @@ pub fn run_architecture_with(arch: &Architecture, scale: Scale, workers: usize) 
                     }
                     MapOutcome::Timeout { .. } => (RunClass::Timeout, None, None),
                 };
-                if let Some(winner) = &winner {
-                    *results.portfolio_wins.entry(winner.clone()).or_default() += 1;
-                }
                 results.lakeroad_runs.push(LakeroadRun {
                     benchmark: bench.name.clone(),
                     class,
@@ -243,10 +243,11 @@ pub fn print_completeness(arch: &Architecture, results: &ArchResults) {
     }
 }
 
-/// Prints the Figure 7 runtime histogram for one architecture.
-pub fn print_histogram(arch: &Architecture, results: &ArchResults, timeout: Duration) {
+/// Prints the Figure 7 runtime histogram for one architecture, from the
+/// four-member race times of [`run_portfolio_sweep`].
+pub fn print_histogram(arch: &Architecture, races: &RaceResults, timeout: Duration) {
     println!("\n-- Figure 7: Lakeroad synthesis runtime histogram, {} --", arch.name());
-    let h = runtime_histogram(&results.lakeroad_times);
+    let h = runtime_histogram(&races.times);
     print!("{}", h.render("ms"));
     if let (Some(p50), Some(p99)) = (h.p50(), h.p99()) {
         println!("  p50 <= {p50} ms   p99 <= {p99} ms");
@@ -275,12 +276,55 @@ pub fn print_resources(arch: &Architecture, results: &ArchResults) {
     }
 }
 
-/// Prints the solver-portfolio win counts (§5.1's Bitwuzla/STP/Yices2/cvc5 paragraph).
-pub fn print_portfolio(all: &[(ArchName, ArchResults)]) {
+/// What the §4.5 race sweep records for one architecture.
+#[derive(Debug, Clone, Default)]
+pub struct RaceResults {
+    /// Portfolio win counts by solver name: which member decided each run.
+    pub wins: HashMap<String, usize>,
+    /// Wall-clock synthesis time of every run (Figure 7).
+    pub times: Vec<Duration>,
+}
+
+/// The §4.5 portfolio sweep: every DSP architecture's suite at `scale`,
+/// mapped one benchmark at a time through [`lakeroad::map_design`] with the
+/// default four-member portfolio, recording each run's time and the member
+/// that decided it. Mapped alone, every run is a full four-member race, as in
+/// the paper; the scheduled sweeps ([`run_all`]) run one member per job, so
+/// their winners and times say nothing about the race.
+pub fn run_portfolio_sweep(scale: Scale) -> Vec<(ArchName, RaceResults)> {
+    Architecture::with_dsps()
+        .into_iter()
+        .map(|arch| {
+            let config = MapConfig { timeout: scale.timeout(arch.name()), ..MapConfig::default() };
+            let mut races = RaceResults::default();
+            for bench in scale.suite(arch.name()) {
+                let Ok(outcome) =
+                    lakeroad::map_design(&bench.build(), Template::Dsp, &arch, &config)
+                else {
+                    continue;
+                };
+                races.times.push(outcome.elapsed());
+                let winner = match outcome {
+                    MapOutcome::Success(m) => m.winning_solver,
+                    MapOutcome::Unsat { winning_solver, .. } => winning_solver,
+                    MapOutcome::Timeout { .. } => None,
+                };
+                if let Some(winner) = winner {
+                    *races.wins.entry(winner).or_default() += 1;
+                }
+            }
+            (arch.name(), races)
+        })
+        .collect()
+}
+
+/// Prints the solver-portfolio win counts (§5.1's Bitwuzla/STP/Yices2/cvc5
+/// paragraph) from [`run_portfolio_sweep`].
+pub fn print_portfolio(all: &[(ArchName, RaceResults)]) {
     println!("\n-- Solver portfolio: which member finished first --");
     let mut totals: HashMap<String, usize> = HashMap::new();
-    for (_, results) in all {
-        for (name, count) in &results.portfolio_wins {
+    for (_, races) in all {
+        for (name, count) in &races.wins {
             *totals.entry(name.clone()).or_default() += count;
         }
     }

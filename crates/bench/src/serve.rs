@@ -19,9 +19,11 @@
 //! non-empty when the warm hit rate drops below 100%, when the warm verdicts
 //! drift from the cold ones, or when 4 workers are not faster than 1.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
+use lakeroad::cache::spec_fingerprint;
 use lakeroad::{MapConfig, MapOutcome};
 use lr_arch::ArchName;
 use lr_serve::{
@@ -72,6 +74,20 @@ pub struct CachePhase {
     pub verdicts: String,
     /// DSP/LE/register triples of successful jobs, in submission order.
     pub resources: Vec<(usize, usize, usize)>,
+    /// Σ CEGIS iterations, SAT conflicts and SAT propagations over the
+    /// phase's synthesized verdicts, one run per distinct design.
+    pub work: SolverWork,
+}
+
+/// Summed solver counters of a batch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolverWork {
+    /// Σ CEGIS iterations.
+    pub iterations: u64,
+    /// Σ SAT conflicts.
+    pub conflicts: u64,
+    /// Σ SAT propagations.
+    pub propagations: u64,
 }
 
 /// The full experiment record.
@@ -89,7 +105,12 @@ pub struct ServeReport {
     pub warm: CachePhase,
 }
 
-fn phase(label: &'static str, run: &BatchRun, cache: CacheSnapshot) -> CachePhase {
+fn phase(
+    label: &'static str,
+    jobs: &[BatchJob],
+    run: &BatchRun,
+    cache: CacheSnapshot,
+) -> CachePhase {
     let report = BatchReport::from_run(run, Some(cache));
     let verdicts: String = run
         .records
@@ -111,6 +132,24 @@ fn phase(label: &'static str, run: &BatchRun, cache: CacheSnapshot) -> CachePhas
             _ => None,
         })
         .collect();
+    // Two jobs with one canonical design (the suite's signed/unsigned twins)
+    // both synthesize when two workers pick them up at once, and one replays
+    // the other's verdict otherwise; their runs are identical, so counting each
+    // design once keeps the sums independent of that timing.
+    let mut work = SolverWork::default();
+    let mut designs = HashSet::new();
+    for (job, record) in jobs.iter().zip(&run.records) {
+        let Some(outcome) = record.result.outcome().filter(|o| !o.served_from_cache()) else {
+            continue;
+        };
+        if !designs.insert((spec_fingerprint(&job.spec.saturated()), job.arch.name())) {
+            continue;
+        }
+        let stats = outcome.stats();
+        work.iterations += stats.iterations as u64;
+        work.conflicts += stats.conflicts;
+        work.propagations += stats.propagations;
+    }
     CachePhase {
         label,
         wall_ms: run.wall.as_secs_f64() * 1e3,
@@ -118,6 +157,7 @@ fn phase(label: &'static str, run: &BatchRun, cache: CacheSnapshot) -> CachePhas
         served: report.cache_served,
         verdicts,
         resources,
+        work,
     }
 }
 
@@ -177,9 +217,12 @@ impl ServeReport {
         failures
     }
 
-    /// The bench record: the experiment's own gates (`invariants`) and the
-    /// warm hit rate (`at_least`); the scaling curve and the cache phases are
-    /// timing-dependent and recorded only.
+    /// The bench record: the experiment's own gates (`invariants`), the warm
+    /// hit rate (`at_least`), and the cold phase's solver counters summed over
+    /// its distinct designs (`exact`: the batch has more jobs than workers, so
+    /// each job runs one portfolio member and its counters repeat exactly — a
+    /// job that raced again would move them); the scaling curve and the rest
+    /// of the cache phases are timing-dependent and recorded only.
     pub fn record(&self) -> Record {
         let scaling: Vec<Json> = self
             .scaling
@@ -205,6 +248,9 @@ impl ServeReport {
         Record::new(self.scale)
             .invariant("gates_pass", self.gate_failures().is_empty())
             .at_least("warm_hit_rate", self.warm_hit_rate())
+            .exact("cold_iterations", self.cold.work.iterations)
+            .exact("cold_conflicts", self.cold.work.conflicts)
+            .exact("cold_propagations", self.cold.work.propagations)
             .recorded("scaling_jobs", self.scaling_jobs)
             .recorded("speedup_4_workers_vs_1", self.speedup_4v1().unwrap_or(0.0))
             .recorded("scaling", scaling)
@@ -234,7 +280,8 @@ impl ServeReport {
         println!("\n-- Cache effectiveness: identical batch, cold then warm --");
         for p in [&self.cold, &self.warm] {
             println!(
-                "  {:4}  {:8.1} ms  {} hits / {} misses, {} stores, {} served, verdicts {}",
+                "  {:4}  {:8.1} ms  {} hits / {} misses, {} stores, {} served, verdicts {}, \
+                 {} iterations / {} conflicts / {} propagations",
                 p.label,
                 p.wall_ms,
                 p.cache.hits,
@@ -242,6 +289,9 @@ impl ServeReport {
                 p.cache.stores,
                 p.served,
                 p.verdicts,
+                p.work.iterations,
+                p.work.conflicts,
+                p.work.propagations,
             );
         }
         println!("  warm hit rate: {:.1}%", 100.0 * self.warm_hit_rate());
@@ -327,8 +377,8 @@ pub fn run_serve_experiment(scale: Scale) -> ServeReport {
         scale,
         scaling_jobs: scaling_batch(scale).len(),
         scaling,
-        cold: phase("cold", &cold_run, before.delta(&after_cold)),
-        warm: phase("warm", &warm_run, after_cold.delta(&after_warm)),
+        cold: phase("cold", &jobs, &cold_run, before.delta(&after_cold)),
+        warm: phase("warm", &jobs, &warm_run, after_cold.delta(&after_warm)),
     }
 }
 
@@ -386,6 +436,7 @@ mod tests {
                 served: 3,
                 verdicts: "ssssssssssss".into(),
                 resources: vec![(1, 0, 0); 12],
+                work: SolverWork::default(),
             },
             warm: CachePhase {
                 label: "warm",
@@ -394,6 +445,7 @@ mod tests {
                 served: 12,
                 verdicts: "ssssssssssss".into(),
                 resources: vec![(1, 0, 0); 12],
+                work: SolverWork::default(),
             },
         }
     }
@@ -434,6 +486,7 @@ mod tests {
         let doc = Json::parse(&sample_report().record().json().render_pretty()).unwrap();
         assert_eq!(doc.get(&["invariants", "gates_pass"]), Some(&Json::Bool(true)));
         assert_eq!(doc.get(&["at_least", "warm_hit_rate"]).and_then(Json::as_f64), Some(1.0));
+        assert_eq!(doc.get(&["exact", "cold_iterations"]).and_then(Json::as_f64), Some(0.0));
         let scaling = doc.get(&["recorded", "scaling"]).and_then(Json::as_arr).unwrap();
         assert_eq!(scaling[1].get(&["workers"]).and_then(Json::as_f64), Some(4.0));
     }

@@ -59,6 +59,9 @@ pub struct MapConfig {
     /// depth (the `c` of 𝑓*lr).
     pub bmc_window: u32,
     /// Solver configurations to race; defaults to the four-member portfolio.
+    /// [`map_design`] races every member, one thread each. The `lr_serve`
+    /// scheduler and daemon run only the first member of a job, so their
+    /// worker count stays the one thread budget.
     pub solvers: Vec<SolverConfig>,
     /// Maximum CEGIS iterations per solver.
     pub max_iterations: usize,

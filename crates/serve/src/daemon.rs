@@ -13,7 +13,8 @@
 //!   the door with a `rejected` response, never silently dropped);
 //! * a fixed pool of **workers** pops jobs in priority order (FIFO within a
 //!   priority) and executes them through the same
-//!   [`scheduler::execute_job`] path as `lakeroad batch`, sharing the cache;
+//!   [`scheduler::execute_job`] path as `lakeroad batch`, sharing the cache
+//!   and its one-solver-per-job thread budget;
 //! * an optional **persister** snapshots the cache to disk every interval
 //!   using the atomic [`SynthCache::save`], so a crash loses at most one
 //!   interval of new verdicts and never the file.
@@ -404,8 +405,10 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
         match listener.accept() {
             Ok((stream, _)) => {
                 // Handler I/O is blocking; on some platforms the accepted
-                // socket inherits the listener's nonblocking flag.
-                if stream.set_nonblocking(false).is_err() {
+                // socket inherits the listener's nonblocking flag. Responses
+                // are single small writes that a client waits on, so Nagle's
+                // delay would only add latency.
+                if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
                     continue;
                 }
                 let inner = Arc::clone(inner);
@@ -541,9 +544,9 @@ fn worker_loop(inner: &Inner) {
             let result = execute_job(&queued.job, &inner.map, &no_cancel, waited);
             drop(sp);
             // The outer span just closed at depth 0, flushing this thread's
-            // buffer, and `execute_job` joins any portfolio threads before
-            // returning — so the sink holds the job's complete span tree,
-            // selectable by its ctx.
+            // buffer, and the portfolio's member thread has ended (flushing
+            // its own spans) before `execute_job` returns — so the sink holds
+            // the job's complete span tree, selectable by its ctx.
             if inner.recorder.is_some() {
                 spans = lr_trace::snapshot_events()
                     .into_iter()
@@ -993,7 +996,9 @@ impl DaemonClient {
     /// # Errors
     /// Socket errors from `TcpStream::connect`.
     pub fn connect(addr: impl std::net::ToSocketAddrs) -> io::Result<DaemonClient> {
-        Ok(DaemonClient { stream: TcpStream::connect(addr)? })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(DaemonClient { stream })
     }
 
     /// Sends one request frame without waiting for the response (pipelining;

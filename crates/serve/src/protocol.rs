@@ -63,6 +63,8 @@ use crate::scheduler::{BatchJob, JobResult};
 pub const MAX_FRAME: usize = 4 << 20;
 
 /// Writes one frame: big-endian length, then the UTF-8 payload, then a flush.
+/// Header and payload go out in one `write_all`, so a socket never holds a
+/// lone 4-byte header segment back while it waits for the peer's ACK.
 ///
 /// # Errors
 /// `InvalidData` if the payload exceeds [`MAX_FRAME`]; otherwise I/O errors
@@ -75,8 +77,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds the {MAX_FRAME}-byte bound", bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -361,6 +365,43 @@ mod tests {
         assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some("{\"kind\":\"ping\"}"));
         assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some("second"));
         assert_eq!(read_frame(&mut reader).unwrap(), None, "clean EOF at a frame boundary");
+    }
+
+    /// A writer that counts the `write` calls reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        for (n, payload) in ["", "{\"kind\":\"ping\"}", &"y".repeat(70_000)].iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, n + 1, "frame {n} took more than one write");
+        }
+        let mut reader = w.bytes.as_slice();
+        assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some(""));
+        assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some("{\"kind\":\"ping\"}"));
+        assert_eq!(read_frame(&mut reader).unwrap().map(|f| f.len()), Some(70_000));
+
+        // The bound is checked before anything is written.
+        let mut w = CountingWriter::default();
+        assert!(write_frame(&mut w, &"x".repeat(MAX_FRAME + 1)).is_err());
+        assert_eq!(w.writes, 0);
     }
 
     #[test]

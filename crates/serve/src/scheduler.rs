@@ -25,6 +25,11 @@
 //! [`run_batch_streaming`] invokes its callback for job *i* only once jobs
 //! `0..i` have been delivered, which is what lets a manifest run print a stable
 //! report while overlapping work.
+//!
+//! **One thread budget.** The worker count is the only thread budget: a job
+//! runs only the first member of its [`MapConfig::solvers`] portfolio, on one
+//! solver thread, so the workers never oversubscribe the cores with portfolio
+//! races and every job's solver counters repeat exactly.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -303,8 +308,9 @@ pub fn run_batch_streaming(
 /// not take the whole batch down with it. `cancel` is installed as the mapping
 /// run's [`MapConfig::cancel`] hook (reaching the SAT-solver interrupt), so
 /// flipping it stops an in-flight job promptly; a run cut short that way is
-/// reported as [`JobResult::Cancelled`], not a timeout. Shared with the serving
-/// daemon's worker pool.
+/// reported as [`JobResult::Cancelled`], not a timeout. The job runs only the
+/// first member of `map.solvers` (the module's one thread budget). Shared with
+/// the serving daemon's worker pool.
 pub(crate) fn execute_job(
     job: &BatchJob,
     map: &MapConfig,
@@ -312,6 +318,7 @@ pub(crate) fn execute_job(
     already_elapsed: Duration,
 ) -> JobResult {
     let mut config = map.clone();
+    config.solvers.truncate(1);
     config.cancel = Some(Arc::clone(cancel));
     if let Some(timeout) = job.timeout {
         config.timeout = timeout;

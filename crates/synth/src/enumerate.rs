@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use lr_bv::BitVec;
+use lr_bv::{BitVec, Rng};
 use lr_ir::{HoleDomain, HoleInfo, Prog, StreamInputs};
 
 use crate::{SynthesisError, SynthesisOutcome, SynthesisStats, SynthesisTask, Synthesized};
@@ -39,6 +39,10 @@ pub fn synthesize_by_enumeration(
     let total: u64 = domains.iter().map(|d| d.len() as u64).product();
     let inputs = task.spec.free_vars();
     let probe_envs = probe_environments(&inputs, probes);
+    // The spec does not depend on the candidate: interpret it once per probe.
+    // A spec that cannot be interpreted matches no candidate.
+    let expected: Option<Vec<Vec<BitVec>>> =
+        probe_envs.iter().map(|env| window_trace(task, task.spec, env)).collect();
 
     let mut indices = vec![0usize; domains.len()];
     let mut tried = 0u64;
@@ -50,17 +54,13 @@ pub fn synthesize_by_enumeration(
         }
         let assignment: BTreeMap<String, BitVec> = holes
             .iter()
+            .zip(&domains)
             .zip(&indices)
-            .map(|(h, &i)| {
-                (
-                    h.name.clone(),
-                    domains[holes.iter().position(|x| x.name == h.name).unwrap()][i].clone(),
-                )
-            })
+            .map(|((h, domain), &i)| (h.name.clone(), domain[i].clone()))
             .collect();
         tried += 1;
         let candidate = task.sketch.fill_holes(&assignment).map_err(SynthesisError::IllFormed)?;
-        if candidate_matches(task, &candidate, &probe_envs) {
+        if expected.as_ref().is_some_and(|e| candidate_matches(task, &candidate, &probe_envs, e)) {
             stats.elapsed = start.elapsed();
             stats.iterations = tried as usize;
             stats.examples = probe_envs.len();
@@ -114,41 +114,45 @@ fn domain_values(hole: &HoleInfo, cap: u64) -> Result<Vec<BitVec>, SynthesisErro
     }
 }
 
+/// The all-zeros and all-ones probes, then `probes - 2` seeded random ones
+/// (at least the first two). Every input holds its value on every cycle.
 fn probe_environments(inputs: &[(String, u32)], probes: usize) -> Vec<StreamInputs> {
-    let mut envs = Vec::new();
-    let mut state = 0x9e3779b97f4a7c15u64;
-    for i in 0..probes.max(2) {
-        let mut env = StreamInputs::new();
-        for (name, width) in inputs {
-            let value = match i {
-                0 => 0,
-                1 => u64::MAX,
-                _ => {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state
-                }
-            };
-            env.set_constant(name.clone(), BitVec::from_u64(value, *width));
-        }
-        envs.push(env);
-    }
-    envs
+    let mut rng = Rng::new(PROBE_SEED);
+    (0..probes.max(2))
+        .map(|i| {
+            let mut env = StreamInputs::new();
+            for (name, width) in inputs {
+                let value = match i {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => rng.next_u64(),
+                };
+                env.set_constant(name.clone(), BitVec::from_u64(value, *width));
+            }
+            env
+        })
+        .collect()
 }
 
-fn candidate_matches(task: &SynthesisTask<'_>, candidate: &Prog, envs: &[StreamInputs]) -> bool {
-    for env in envs {
-        for cycle in task.cycles() {
-            let spec = task.spec.interp(env, cycle);
-            let cand = candidate.interp(env, cycle);
-            match (spec, cand) {
-                (Ok(s), Ok(c)) if s == c => {}
-                _ => return false,
-            }
-        }
-    }
-    true
+/// Seed of the random probe environments.
+const PROBE_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// `prog`'s root at each of the task's cycles under `env`, from one
+/// interpretation of the whole trace; `None` if interpretation fails.
+fn window_trace(task: &SynthesisTask<'_>, prog: &Prog, env: &StreamInputs) -> Option<Vec<BitVec>> {
+    let mut trace = prog.interp_trace(env, task.at_cycle + task.extra_cycles).ok()?;
+    Some(trace.split_off(task.at_cycle as usize))
+}
+
+fn candidate_matches(
+    task: &SynthesisTask<'_>,
+    candidate: &Prog,
+    envs: &[StreamInputs],
+    expected: &[Vec<BitVec>],
+) -> bool {
+    envs.iter()
+        .zip(expected)
+        .all(|(env, spec)| window_trace(task, candidate, env).is_some_and(|cand| cand == *spec))
 }
 
 #[cfg(test)]
@@ -175,6 +179,41 @@ mod tests {
         let result = outcome.success().expect("enumeration should succeed");
         assert_eq!(result.hole_assignment["k"], BitVec::from_u64(3, 8));
         assert_eq!(result.stats.solver_name, "enumeration");
+    }
+
+    #[test]
+    fn enumeration_agrees_with_cegis_on_a_registered_multi_cycle_spec() {
+        // out = (reg(reg(a) + 3)) ^ 0xF0, checked over cycles 2..=4: two
+        // holes with different domains, whose only solution is k = 3, m = 0xF0.
+        let mut b = ProgBuilder::new("spec");
+        let a = b.input("a", 8);
+        let ra = b.reg(a, 8);
+        let three = b.constant_u64(3, 8);
+        let sum = b.op2(BvOp::Add, ra, three);
+        let rsum = b.reg(sum, 8);
+        let mask = b.constant_u64(0xF0, 8);
+        let out = b.op2(BvOp::Xor, rsum, mask);
+        let spec = b.finish(out);
+
+        let mut b = ProgBuilder::new("sketch");
+        let a = b.input("a", 8);
+        let ra = b.reg(a, 8);
+        let k = b.hole("k", 8, HoleDomain::LessThan(BitVec::from_u64(16, 8)));
+        let sum = b.op2(BvOp::Add, ra, k);
+        let rsum = b.reg(sum, 8);
+        let choices = [0x00, 0x0F, 0xF0].map(|v| BitVec::from_u64(v, 8)).to_vec();
+        let m = b.hole("m", 8, HoleDomain::Choice(choices));
+        let out = b.op2(BvOp::Xor, rsum, m);
+        let sketch = b.finish(out);
+
+        let task = SynthesisTask::over_window(&spec, &sketch, 2, 2);
+        let enumerated = synthesize_by_enumeration(&task, 1 << 16, 6).unwrap();
+        let enumerated = enumerated.success().expect("enumeration should succeed");
+        let cegis = crate::synthesize(&task, &crate::SynthesisConfig::default()).unwrap();
+        let cegis = cegis.success().expect("CEGIS should succeed");
+        assert_eq!(enumerated.hole_assignment, cegis.hole_assignment);
+        assert_eq!(enumerated.hole_assignment["k"], BitVec::from_u64(3, 8));
+        assert_eq!(enumerated.hole_assignment["m"], BitVec::from_u64(0xF0, 8));
     }
 
     #[test]

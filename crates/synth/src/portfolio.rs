@@ -9,6 +9,12 @@
 //! Each member inherits [`SynthesisConfig::incremental`] unchanged, so a portfolio
 //! run races four *incremental* CEGIS loops by default — every member keeps its own
 //! persistent solver state across its iterations.
+//!
+//! A race costs one thread per member, so callers that already run one job per
+//! core pass a shorter slice: the `lr_serve` scheduler and daemon hand each job
+//! only the first member, whose run is deterministic. Lone callers of
+//! `lakeroad::map_design` (the `lakeroad map` CLI, the `exp_portfolio` sweep)
+//! race all four.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -202,6 +208,38 @@ mod tests {
         let result =
             synthesize_portfolio_with(&task, &SynthesisConfig::default(), &solvers).unwrap();
         assert_eq!(result.members, vec!["default".to_string()]);
+        assert_eq!(result.winner.as_deref(), Some("default"));
         assert!(result.outcome.is_success());
+    }
+
+    #[test]
+    fn single_member_portfolio_honours_the_cancel_flag() {
+        let (spec, sketch) = offset_task();
+        let task = SynthesisTask::at(&spec, &sketch, 0);
+        let config = SynthesisConfig {
+            cancel: Some(Arc::new(AtomicBool::new(true))),
+            ..SynthesisConfig::default()
+        };
+        let result = synthesize_portfolio_with(&task, &config, &[SolverConfig::default()]).unwrap();
+        assert!(result.outcome.is_timeout());
+        assert_eq!(result.winner, None);
+    }
+
+    #[test]
+    fn single_member_portfolio_surfaces_validation_errors() {
+        let mut b = ProgBuilder::new("spec");
+        let a = b.input("a", 8);
+        let spec = b.finish(a);
+        let mut b = ProgBuilder::new("sketch");
+        let x = b.input("x", 8);
+        let sketch = b.finish(x);
+        let task = SynthesisTask::at(&spec, &sketch, 0);
+        let err = synthesize_portfolio_with(
+            &task,
+            &SynthesisConfig::default(),
+            &[SolverConfig::default()],
+        )
+        .unwrap_err();
+        assert!(matches!(err, SynthesisError::InputMismatch { .. }));
     }
 }
